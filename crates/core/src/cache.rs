@@ -179,11 +179,12 @@ impl CachedSample {
 
     /// Drop the live stream state, fixing the entry's fraction for good.
     ///
-    /// A streaming entry keeps its stream (and, for uniform draws, the
-    /// stream's page cache — the decoded rows of every page the draw
-    /// touched) so that a later, deeper request costs only the delta.  When
-    /// no deeper fraction is coming, sealing releases that memory; the
-    /// materialized sample itself is untouched and keeps serving hits.
+    /// A streaming entry keeps its stream (and, for uniform and stratified
+    /// draws, the stream's rid frame and page cache — one copy of every
+    /// page the draw touched) so that a later, deeper request costs only
+    /// the delta.  When no deeper fraction is coming, sealing releases that
+    /// memory; the materialized sample itself is untouched and keeps
+    /// serving hits.
     pub fn seal(&mut self) {
         self.stream = None;
     }
@@ -248,9 +249,10 @@ impl CachedSample {
     /// Deterministic estimate of this entry's resident size in bytes: the
     /// materialized sample's heap pages, the decoded row snapshot (priced
     /// at the schema's fixed record width), and any state the live stream
-    /// retains for deepening (rid frame, cached decoded pages, a held
-    /// reservoir).  This is the unit the server cache's byte budget evicts
-    /// against; [`seal`](Self::seal)ing releases the stream's share.
+    /// retains for deepening (rid frame, cached pages at their page size, a
+    /// held reservoir's records).  This is the unit the server cache's byte
+    /// budget evicts against; [`seal`](Self::seal)ing releases the
+    /// stream's share.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         let table = self.sample.table();
@@ -260,7 +262,7 @@ impl CachedSample {
             + self
                 .stream
                 .as_ref()
-                .map_or(0, |(stream, _)| stream.approx_retained_bytes(row_bytes))
+                .map_or(0, |(stream, _)| stream.approx_retained_bytes())
     }
 }
 

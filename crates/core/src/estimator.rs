@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
 use samplecf_sampling::{MaterializedSample, RowSampler, SamplerKind};
-use samplecf_storage::{decode_cell, Rid, RowCodec, Schema, TableSource, Value};
+use samplecf_storage::{decode_cell, DataType, PageId, Rid, RowCodec, Schema, TableSource, Value};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -112,6 +112,49 @@ impl DataStatsAccumulator {
             sum_logical_len_first_key: self.sum,
             null_first_key: self.nulls,
         }
+    }
+}
+
+/// The first key column's cell of encoded records: the one [`Value`] per
+/// record that [`DataStats`] and the NS row statistic need, decoded
+/// without touching any other cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FirstKeyCell {
+    index: usize,
+    offset: usize,
+    datatype: DataType,
+}
+
+impl FirstKeyCell {
+    /// Locate the first key column of `spec` in `codec`'s record layout.
+    pub(crate) fn new(schema: &Schema, codec: &RowCodec, spec: &IndexSpec) -> CoreResult<Self> {
+        let index = spec
+            .key_indexes(schema)?
+            .first()
+            .copied()
+            .ok_or_else(|| CoreError::InvalidConfig("index has no key columns".to_string()))?;
+        Ok(FirstKeyCell {
+            index,
+            offset: codec.cell_offset(index),
+            datatype: schema.column_at(index).datatype,
+        })
+    }
+
+    /// Uncompressed width of the key cell.
+    pub(crate) fn width(&self) -> usize {
+        self.datatype.uncompressed_width()
+    }
+
+    /// Decode the key cell of one record (the null bitmap is
+    /// authoritative).  The record must have the codec's full length.
+    pub(crate) fn value(&self, record: &[u8]) -> CoreResult<Value> {
+        if record[self.index / 8] & (1 << (self.index % 8)) != 0 {
+            return Ok(Value::Null);
+        }
+        Ok(decode_cell(
+            &record[self.offset..self.offset + self.width()],
+            &self.datatype,
+        )?)
     }
 }
 
@@ -211,23 +254,11 @@ pub fn measure_records(
     let report = measure_index(&index, scheme)?;
     let elapsed = start.elapsed();
 
-    let first_key = spec
-        .key_indexes(schema)?
-        .first()
-        .copied()
-        .ok_or_else(|| CoreError::InvalidConfig("index has no key columns".to_string()))?;
-    let datatype = schema.column_at(first_key).datatype;
-    let offset = codec.cell_offset(first_key);
-    let width = datatype.uncompressed_width();
+    // The bulk load checked every record's length; decode only the key.
+    let first_key = FirstKeyCell::new(schema, codec, spec)?;
     let mut acc = DataStatsAccumulator::new();
     for (_, record) in records {
-        let is_null = record[first_key / 8] & (1 << (first_key % 8)) != 0;
-        let value = if is_null {
-            Value::Null
-        } else {
-            decode_cell(&record[offset..offset + width], &datatype)?
-        };
-        acc.observe(&value);
+        acc.observe(&first_key.value(record)?);
     }
 
     Ok(CfMeasurement {
@@ -423,17 +454,29 @@ impl ExactCf {
     /// Build the full index, compress it, and report the true CF.
     ///
     /// Works over any [`TableSource`]; on a disk-resident table this scans
-    /// every page — exactly the cost SampleCF exists to avoid.
+    /// every page — exactly the cost SampleCF exists to avoid.  Each page
+    /// is read once and its records are measured in place through
+    /// [`measure_records`]: no row is decoded, and only the first key cell
+    /// of each record is (for [`DataStats`]).
     pub fn compute(
         &self,
         source: &dyn TableSource,
         spec: &IndexSpec,
         scheme: &dyn CompressionScheme,
     ) -> CoreResult<CfMeasurement> {
-        let rows = source.scan_rows()?;
-        measure_rows(
+        let pages = (0..source.num_pages())
+            .map(|pid| source.read_page_ref(pid as PageId))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut records = Vec::with_capacity(source.num_rows());
+        for (pid, page) in pages.iter().enumerate() {
+            for slot in 0..page.slot_count() {
+                records.push((Rid::new(pid as PageId, slot), page.get(slot)?));
+            }
+        }
+        measure_records(
             source.schema(),
-            &rows,
+            source.codec(),
+            &records,
             spec,
             scheme,
             &self.builder,

@@ -27,7 +27,7 @@
 
 use crate::algebra::{self, MomentSketch, VarianceNode};
 use crate::error::{CoreError, CoreResult};
-use crate::estimator::{CfMeasurement, DataStatsAccumulator};
+use crate::estimator::{CfMeasurement, DataStatsAccumulator, FirstKeyCell};
 use crate::metrics::grouped_jackknife_variance;
 use crate::theory;
 use rand::rngs::StdRng;
@@ -36,7 +36,7 @@ use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec, SortedRun};
 use samplecf_obs::{Counter, Histogram, MetricsRegistry, Timer};
 use samplecf_sampling::{BatchSchedule, SamplerKind};
-use samplecf_storage::{CountingSource, TableSource};
+use samplecf_storage::{CountingSource, Rid, TableSource};
 use std::time::Instant;
 
 /// Registry-backed instruments for progressive runs.  A default-constructed
@@ -336,17 +336,13 @@ impl ProgressiveCf {
     ) -> CoreResult<ProgressiveReport> {
         self.config.validate()?;
         let schema = source.schema().clone();
-        let first_key = spec
-            .key_indexes(&schema)?
-            .first()
-            .copied()
-            .ok_or_else(|| CoreError::InvalidConfig("index has no key columns".to_string()))?;
+        let first_key = FirstKeyCell::new(&schema, source.codec(), spec)?;
         let z = theory::chebyshev_z(self.config.confidence);
         let counting = CountingSource::new(source);
         let mut stream = self.sampler.stream(self.config.schedule)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let is_stratified = matches!(self.sampler, SamplerKind::Stratified { .. });
-        let key_width = schema.column_at(first_key).datatype.uncompressed_width();
+        let key_width = first_key.width();
 
         let started = Instant::now();
         let mut stats = DataStatsAccumulator::new();
@@ -385,10 +381,19 @@ impl ProgressiveCf {
             } else {
                 Vec::new()
             };
-            for (_, row) in &batch {
-                stats.observe(row.value(first_key));
+            // The batch's records are slices of its arena: the sorted run
+            // is cut from them by byte slicing (checking every record's
+            // length), and only the first key cell is decoded, for the
+            // stats and the NS row statistic.
+            let records = batch.records();
+            let run = SortedRun::from_records(&schema, &records, spec)?;
+            let keys = records
+                .iter()
+                .map(|(_, record)| first_key.value(record))
+                .collect::<CoreResult<Vec<_>>>()?;
+            for key in &keys {
+                stats.observe(key);
             }
-            let run = SortedRun::from_rows(&schema, &batch, spec)?;
             merged = merged.merge(&run);
             batch_sizes.push(batch.len());
             batch_runs.push(run);
@@ -404,24 +409,21 @@ impl ProgressiveCf {
                     strata_rows = vec![0; k];
                 }
                 for s in 0..strata_weights.len() {
-                    // Cloned because `SortedRun::from_rows` encodes from a
-                    // contiguous slice of owned pairs; batches are small
-                    // (one schedule step), so this is off the hot path.
-                    let group: Vec<_> = batch
+                    // Per-stratum groups copy only `(Rid, &[u8])` pointers.
+                    let group: Vec<(Rid, &[u8])> = records
                         .iter()
                         .zip(&tags)
                         .filter(|(_, &t)| t as usize == s)
-                        .map(|(r, _)| r.clone())
+                        .map(|(&r, _)| r)
                         .collect();
                     if group.is_empty() {
                         continue;
                     }
-                    for (_, row) in &group {
-                        strata_sketches[s]
-                            .observe(algebra::ns_row_statistic(row.value(first_key), key_width));
+                    for (key, _) in keys.iter().zip(&tags).filter(|(_, &t)| t as usize == s) {
+                        strata_sketches[s].observe(algebra::ns_row_statistic(key, key_width));
                     }
                     strata_rows[s] += group.len();
-                    let run_s = SortedRun::from_rows(&schema, &group, spec)?;
+                    let run_s = SortedRun::from_records(&schema, &group, spec)?;
                     let prev = std::mem::replace(&mut strata_runs[s], SortedRun::new());
                     strata_runs[s] = prev.merge(&run_s);
                 }

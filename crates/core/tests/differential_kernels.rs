@@ -406,3 +406,419 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Streams: sliced record batches against the decoded-row path
+// ---------------------------------------------------------------------------
+
+/// FNV-1a (64-bit): a stable digest of everything a stream produced.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// How a stream is driven to its cap.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// One batch at the full cap.
+    OneShot,
+    /// Geometric batches growing from 1% of the table.
+    Geometric,
+    /// One batch at half the cap, then `extend_cap` to the full cap.
+    Deepen,
+}
+
+const DRIVES: [Drive; 3] = [Drive::OneShot, Drive::Geometric, Drive::Deepen];
+
+/// Every stream kind, at its full cap, with the shallower kind a deepened
+/// stream starts from.
+fn stream_kinds() -> [(&'static str, SamplerKind, SamplerKind); 5] {
+    let stratified = |fraction, strata, alloc, mode| SamplerKind::Stratified {
+        fraction,
+        strata,
+        alloc,
+        mode,
+    };
+    [
+        (
+            "uniform",
+            SamplerKind::UniformWithReplacement(0.15),
+            SamplerKind::UniformWithReplacement(0.07),
+        ),
+        ("block", SamplerKind::Block(0.2), SamplerKind::Block(0.1)),
+        (
+            "reservoir",
+            SamplerKind::Reservoir(150),
+            SamplerKind::Reservoir(150),
+        ),
+        (
+            "stratified-ew-prop",
+            stratified(0.15, 4, Allocation::Proportional, StrataMode::EquiWidth),
+            stratified(0.07, 4, Allocation::Proportional, StrataMode::EquiWidth),
+        ),
+        (
+            "stratified-ed-neyman",
+            stratified(0.12, 5, Allocation::Neyman, StrataMode::EquiDepth),
+            stratified(0.05, 5, Allocation::Neyman, StrataMode::EquiDepth),
+        ),
+    ]
+}
+
+/// One drawn batch: `(rid, encoded record)` pairs in batch order, plus the
+/// stream's stratum tags for it.
+type DrawnBatch = (Vec<(Rid, Vec<u8>)>, Option<Vec<u32>>);
+
+/// Drain `stream` batch by batch, copying each batch out as encoded records.
+fn drain_records(
+    stream: &mut dyn samplecf_sampling::SampleStream,
+    source: &dyn TableSource,
+    rng: &mut rand::rngs::StdRng,
+) -> Vec<DrawnBatch> {
+    let mut out = Vec::new();
+    loop {
+        let batch = stream.next_batch(source, rng).unwrap();
+        if batch.is_empty() {
+            return out;
+        }
+        let records = batch.iter().map(|(rid, rec)| (rid, rec.to_vec())).collect();
+        out.push((records, stream.batch_strata().map(<[u32]>::to_vec)));
+    }
+}
+
+/// Drive one stream kind to its cap; returns the batches and pages read.
+fn drive_stream(
+    source: &dyn TableSource,
+    full: SamplerKind,
+    shallow: SamplerKind,
+    drive: Drive,
+) -> (Vec<DrawnBatch>, u64) {
+    use rand::SeedableRng;
+    use samplecf_sampling::{BatchSchedule, CountingSource};
+    let counting = CountingSource::new(source);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(97);
+    let batches = match drive {
+        Drive::OneShot => {
+            let mut stream = full.stream(BatchSchedule::one_shot()).unwrap();
+            drain_records(stream.as_mut(), &counting, &mut rng)
+        }
+        Drive::Geometric => {
+            let mut stream = full.stream(BatchSchedule::new(0.01, 1.7).unwrap()).unwrap();
+            drain_records(stream.as_mut(), &counting, &mut rng)
+        }
+        Drive::Deepen => {
+            let mut stream = shallow.stream(BatchSchedule::one_shot()).unwrap();
+            let mut batches = drain_records(stream.as_mut(), &counting, &mut rng);
+            // Reservoirs cannot deepen: their draw is final after one scan.
+            let deepened = stream.extend_cap(full);
+            assert_eq!(deepened, !matches!(full, SamplerKind::Reservoir(_)));
+            batches.extend(drain_records(stream.as_mut(), &counting, &mut rng));
+            batches
+        }
+    };
+    (batches, counting.pages_read())
+}
+
+fn digest_batches(batches: &[DrawnBatch], pages_read: u64) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(batches.len() as u64);
+    for (records, tags) in batches {
+        h.u64(records.len() as u64);
+        for (rid, bytes) in records {
+            h.u64(u64::from(rid.page));
+            h.u64(u64::from(rid.slot));
+            h.u64(bytes.len() as u64);
+            h.bytes(bytes);
+        }
+        if let Some(tags) = tags {
+            for &t in tags {
+                h.u64(u64::from(t));
+            }
+        }
+    }
+    h.u64(pages_read);
+    h.0
+}
+
+/// Digest of a progressive run's final measurement under all six schemes.
+fn digest_measurements(source: &dyn TableSource, kind: SamplerKind, drive: Drive) -> u64 {
+    use samplecf_core::{ProgressiveCf, ProgressiveConfig};
+    use samplecf_sampling::BatchSchedule;
+    let schedule = match drive {
+        Drive::Geometric => BatchSchedule::new(0.01, 1.7).unwrap(),
+        Drive::OneShot | Drive::Deepen => BatchSchedule::one_shot(),
+    };
+    let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
+    let mut h = Fnv::new();
+    for name in scheme_names() {
+        let scheme = scheme_by_name(name).unwrap();
+        let report = ProgressiveCf::new(
+            kind,
+            ProgressiveConfig {
+                target_error: 0.0,
+                confidence: 0.95,
+                schedule,
+            },
+        )
+        .seed(97)
+        .run(source, &spec, scheme.as_ref())
+        .unwrap();
+        let m = &report.measurement;
+        h.u64(m.cf.to_bits());
+        h.u64(m.cf_with_pointers.to_bits());
+        h.u64(m.cf_pages.to_bits());
+        h.u64(m.data.rows as u64);
+        h.u64(m.data.distinct_first_key as u64);
+        h.u64(m.data.sum_logical_len_first_key as u64);
+        h.u64(m.data.null_first_key as u64);
+        h.u64(report.pages_read);
+    }
+    h.0
+}
+
+/// Digests of every stream kind × drive, captured from the decoded-row
+/// stream implementation (each batch's rows re-encoded with the table's
+/// codec) before batches became sliced records.  Sliced batches must
+/// reproduce them exactly: same rids, same bytes, same order, same batch
+/// boundaries and tags, same pages read — and the same CF bits and
+/// DataStats under every scheme.
+const GOLDEN_STREAMS: &[(&str, &str, u64, u64)] = &[
+    (
+        "uniform",
+        "OneShot",
+        0x15e8_c9ac_906d_ec2d,
+        0xbf7b_681b_13c4_51e4,
+    ),
+    (
+        "uniform",
+        "Geometric",
+        0x5fca_4b9b_4d73_d764,
+        0xbf7b_681b_13c4_51e4,
+    ),
+    (
+        "uniform",
+        "Deepen",
+        0x0342_a424_26b6_1687,
+        0xbf7b_681b_13c4_51e4,
+    ),
+    (
+        "block",
+        "OneShot",
+        0x3ea2_dc8e_d81b_316f,
+        0xd490_ff65_43db_4b8e,
+    ),
+    (
+        "block",
+        "Geometric",
+        0xc5cb_c116_dae2_f6f5,
+        0xd490_ff65_43db_4b8e,
+    ),
+    (
+        "block",
+        "Deepen",
+        0x4b21_26cd_b5df_c2bb,
+        0xd490_ff65_43db_4b8e,
+    ),
+    (
+        "reservoir",
+        "OneShot",
+        0x2f52_b7fb_3bfa_d61d,
+        0xae98_55ef_6f1c_84fd,
+    ),
+    (
+        "reservoir",
+        "Geometric",
+        0x76c7_03d9_6dae_4cf5,
+        0xae98_55ef_6f1c_84fd,
+    ),
+    (
+        "reservoir",
+        "Deepen",
+        0x2f52_b7fb_3bfa_d61d,
+        0xae98_55ef_6f1c_84fd,
+    ),
+    (
+        "stratified-ew-prop",
+        "OneShot",
+        0xb3ee_24cf_8685_40b0,
+        0xa835_b3fe_abac_ce07,
+    ),
+    (
+        "stratified-ew-prop",
+        "Geometric",
+        0x9b6a_b754_b7fc_3c87,
+        0xa835_b3fe_abac_ce07,
+    ),
+    (
+        "stratified-ew-prop",
+        "Deepen",
+        0x669c_a3d8_0767_3c48,
+        0xa835_b3fe_abac_ce07,
+    ),
+    (
+        "stratified-ed-neyman",
+        "OneShot",
+        0xd0c5_7aac_2ab3_b406,
+        0x95b9_19f6_b7ca_c988,
+    ),
+    (
+        "stratified-ed-neyman",
+        "Geometric",
+        0xf95f_fd74_6369_d4ec,
+        0xda7f_049c_571a_4573,
+    ),
+    (
+        "stratified-ed-neyman",
+        "Deepen",
+        0x82fd_ce72_8456_6754,
+        0x95b9_19f6_b7ca_c988,
+    ),
+];
+
+#[test]
+fn sliced_stream_batches_equal_the_decoded_batches() {
+    let t = mixed_table(2_500, 1024);
+    let path = std::env::temp_dir().join(format!(
+        "samplecf_differential_streams_{}.scf",
+        std::process::id()
+    ));
+    let disk = DiskTable::materialize(&path, &t).unwrap();
+    let codec = t.codec();
+    let mut missing = Vec::new();
+    for (name, full, shallow) in stream_kinds() {
+        // The decoding oracle: the one-shot row sampler of the same kind.
+        let oracle = full
+            .build()
+            .unwrap()
+            .sample(
+                &t,
+                &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(97),
+            )
+            .unwrap();
+        let mut oracle_sorted: Vec<(Rid, Vec<u8>)> = oracle
+            .iter()
+            .map(|(rid, row)| (*rid, codec.encode(row).unwrap()))
+            .collect();
+        oracle_sorted.sort();
+        let oneshot_pages = drive_stream(&t, full, shallow, Drive::OneShot).1;
+        for drive in DRIVES {
+            let mut digests = Vec::new();
+            for (backend, source) in [("memory", &t as &dyn TableSource), ("disk", &disk)] {
+                let tag = format!("{name}/{drive:?}/{backend}");
+                let (batches, pages) = drive_stream(source, full, shallow, drive);
+                let flat: Vec<(Rid, Vec<u8>)> = batches
+                    .iter()
+                    .flat_map(|(r, _)| r.iter().cloned())
+                    .collect();
+                match drive {
+                    Drive::OneShot => {
+                        // Rid for rid, in order, bytes == codec.encode(row).
+                        assert_eq!(flat.len(), oracle.len(), "{tag}");
+                        for ((rid, bytes), (orid, row)) in flat.iter().zip(&oracle) {
+                            assert_eq!(rid, orid, "{tag}");
+                            assert_eq!(bytes, &codec.encode(row).unwrap(), "{tag}");
+                        }
+                    }
+                    Drive::Geometric | Drive::Deepen => {
+                        let mut sorted = flat;
+                        sorted.sort();
+                        assert_eq!(sorted, oracle_sorted, "{tag}: same multiset");
+                    }
+                }
+                // Page coalescing erases batch boundaries.
+                assert_eq!(pages, oneshot_pages, "{tag}: pages read");
+                digests.push((
+                    digest_batches(&batches, pages),
+                    digest_measurements(source, full, drive),
+                ));
+            }
+            assert_eq!(digests[0], digests[1], "{name}/{drive:?}: disk == memory");
+            let key = format!("{drive:?}");
+            match GOLDEN_STREAMS
+                .iter()
+                .find(|(n, d, _, _)| *n == name && *d == key)
+            {
+                Some(&(_, _, batches, measures)) => {
+                    assert_eq!(digests[0].0, batches, "{name}/{key}: batch digest");
+                    assert_eq!(digests[0].1, measures, "{name}/{key}: CF digest");
+                }
+                None => missing.push(format!(
+                    "    (\"{name}\", \"{key}\", {:#018x}, {:#018x}),",
+                    digests[0].0, digests[0].1
+                )),
+            }
+        }
+    }
+    drop(disk);
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        missing.is_empty(),
+        "no golden digest for:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// `ExactCf` measures the whole table through the record kernels; it must
+/// equal the decoded-row oracle `measure_rows(scan_rows())` bit for bit.
+#[test]
+fn exact_cf_equals_the_decoded_full_scan() {
+    let t = mixed_table(2_500, 1024);
+    let path = std::env::temp_dir().join(format!(
+        "samplecf_differential_exact_{}.scf",
+        std::process::id()
+    ));
+    let disk = DiskTable::materialize(&path, &t).unwrap();
+    let builder = IndexBuilder::new();
+    for (backend, source) in [("memory", &t as &dyn TableSource), ("disk", &disk)] {
+        let rows = source.scan_rows().unwrap();
+        for spec in [
+            IndexSpec::nonclustered("idx", ["a"]).unwrap(),
+            IndexSpec::clustered("pk", ["b", "a"]).unwrap(),
+        ] {
+            for name in scheme_names() {
+                let scheme = scheme_by_name(name).unwrap();
+                let tag = format!("{backend}/{name}/{}", spec.name());
+                let counting = samplecf_sampling::CountingSource::new(source);
+                let exact = samplecf_core::ExactCf::new()
+                    .compute(&counting, &spec, scheme.as_ref())
+                    .unwrap();
+                let oracle = measure_rows(
+                    source.schema(),
+                    &rows,
+                    &spec,
+                    scheme.as_ref(),
+                    &builder,
+                    "exact".to_string(),
+                )
+                .unwrap();
+                assert_eq!(exact.cf.to_bits(), oracle.cf.to_bits(), "{tag}");
+                assert_eq!(
+                    exact.cf_with_pointers.to_bits(),
+                    oracle.cf_with_pointers.to_bits(),
+                    "{tag}"
+                );
+                assert_eq!(exact.cf_pages.to_bits(), oracle.cf_pages.to_bits(), "{tag}");
+                assert_eq!(exact.data, oracle.data, "{tag}");
+                assert_eq!(exact.report, oracle.report, "{tag}");
+                assert_eq!(exact.sampler, oracle.sampler, "{tag}");
+                // One read per page, nothing more.
+                assert_eq!(counting.pages_read() as usize, source.num_pages(), "{tag}");
+            }
+        }
+    }
+    drop(disk);
+    let _ = std::fs::remove_file(&path);
+}

@@ -14,7 +14,9 @@ use samplecf_compression::scheme_by_name;
 use samplecf_core::{ProgressiveCf, ProgressiveConfig, SampleCf};
 use samplecf_datagen::presets;
 use samplecf_index::IndexSpec;
-use samplecf_sampling::{BatchSchedule, CountingSource, SamplerKind};
+use samplecf_sampling::{
+    Allocation, BatchSchedule, CountingSource, MaterializedSample, SamplerKind, StrataMode,
+};
 use samplecf_storage::{DiskTable, Table, TableSource};
 
 /// A disk copy of `table` in a unique temp file, removed on drop.
@@ -49,8 +51,8 @@ impl Drop for TempDisk {
 }
 
 proptest! {
-    // Each case draws a table, materialises it to disk, and runs six
-    // estimator pairs (3 samplers x 2 backends): keep the case count
+    // Each case draws a table, materialises it to disk, and runs ten
+    // estimator pairs (5 samplers x 2 backends): keep the case count
     // moderate so the suite stays in CI budget.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -89,6 +91,20 @@ proptest! {
                 SamplerKind::UniformWithReplacement(fraction),
                 SamplerKind::Block(fraction),
                 SamplerKind::Reservoir((rows / 20).max(5)),
+                // Proportional allocation ignores the variance feedback a
+                // progressive run sends, so it too must match one-shot.
+                SamplerKind::Stratified {
+                    fraction,
+                    strata: 4,
+                    alloc: Allocation::Proportional,
+                    mode: StrataMode::EquiWidth,
+                },
+                SamplerKind::Stratified {
+                    fraction,
+                    strata: 3,
+                    alloc: Allocation::Proportional,
+                    mode: StrataMode::EquiDepth,
+                },
             ] {
                 // One-shot draw at fraction f, pages counted.
                 let oneshot_counting = CountingSource::new(source);
@@ -191,5 +207,69 @@ proptest! {
         prop_assert_eq!(mem.checkpoints.len(), dsk.checkpoints.len());
         prop_assert_eq!(mem.pages_read, dsk.pages_read);
         prop_assert_eq!(mem.target_met, dsk.target_met);
+    }
+
+    #[test]
+    fn deepened_samples_equal_fresh_deeper_draws(
+        rows in 400usize..1200,
+        seed in 0u64..500,
+        shallow_pct in 2u32..10,
+        extra_pct in 1u32..15,
+    ) {
+        // Deepening a stream-backed sample appends the delta's records; the
+        // result must hold exactly the records of a fresh draw at the deeper
+        // fraction (as a multiset: batches are rid-sorted per step) and
+        // cost exactly its pages, on both backends.
+        let shallow_f = f64::from(shallow_pct) / 100.0;
+        let deep_f = f64::from(shallow_pct + extra_pct) / 100.0;
+        let table = presets::variable_length_table("t", rows, 24, rows / 7, 4, 20, seed)
+            .generate()
+            .expect("generation succeeds")
+            .table;
+        let disk = TempDisk::materialize(&table, seed.wrapping_mul(13).wrapping_add(rows as u64));
+        let memory: &dyn TableSource = &table;
+        let backends: [(&str, &dyn TableSource); 2] = [("memory", memory), ("disk", disk.source())];
+        let stratified = |fraction| SamplerKind::Stratified {
+            fraction,
+            strata: 4,
+            alloc: Allocation::Neyman,
+            mode: StrataMode::EquiDepth,
+        };
+        for (backend, source) in backends {
+            for (shallow, deep) in [
+                (SamplerKind::UniformWithReplacement(shallow_f), SamplerKind::UniformWithReplacement(deep_f)),
+                (SamplerKind::Block(shallow_f), SamplerKind::Block(deep_f)),
+                (stratified(shallow_f), stratified(deep_f)),
+            ] {
+                let tag = format!("{backend}/{deep:?}");
+                let counting = CountingSource::new(source);
+                let mut stream = shallow.stream(BatchSchedule::one_shot()).expect("stream");
+                let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+                let mut sample = MaterializedSample::from_stream(&counting, stream.as_mut(), &mut rng, seed)
+                    .expect("shallow draw");
+                prop_assert!(stream.extend_cap(deep), "{}", &tag);
+                sample
+                    .extend_from_stream(&counting, stream.as_mut(), &mut rng)
+                    .expect("deepening succeeds");
+
+                let fresh_counting = CountingSource::new(source);
+                let fresh = MaterializedSample::draw(&fresh_counting, deep, seed).expect("fresh draw");
+                prop_assert_eq!(counting.pages_read(), fresh_counting.pages_read(), "pages: {}", &tag);
+                prop_assert_eq!(sample.kind(), deep);
+                let tagged = |s: &MaterializedSample| {
+                    let mut v: Vec<(samplecf_storage::Rid, Vec<u8>, u32)> = s
+                        .records()
+                        .expect("records")
+                        .into_iter()
+                        .zip(s.row_strata().iter().copied().chain(std::iter::repeat(0)))
+                        .map(|((rid, rec), t)| (rid, rec.to_vec(), t))
+                        .collect();
+                    v.sort();
+                    v
+                };
+                prop_assert_eq!(tagged(&sample), tagged(&fresh), "records: {}", &tag);
+                prop_assert_eq!(sample.strata_weights(), fresh.strata_weights());
+            }
+        }
     }
 }

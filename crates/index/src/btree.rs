@@ -515,6 +515,19 @@ impl SortedRun {
         Ok(SortedRun { entries })
     }
 
+    /// Encode one batch of borrowed heap records into a sorted run of its
+    /// own, by byte slicing — the zero-copy sibling of
+    /// [`from_rows`](Self::from_rows), with entries byte-identical to it.
+    pub fn from_records(
+        schema: &Schema,
+        records: &[(Rid, &[u8])],
+        spec: &IndexSpec,
+    ) -> IndexResult<Self> {
+        let mut entries = encode_entries_from_records(schema, records, spec)?;
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        Ok(SortedRun { entries })
+    }
+
     /// Number of entries in the run.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -1072,6 +1085,35 @@ mod tests {
             .build_from_sorted_run(t.schema(), &spec, &run)
             .unwrap();
         assert_trees_identical(&from_scratch, &incremental);
+    }
+
+    #[test]
+    fn sorted_runs_from_records_equal_runs_from_rows() {
+        let t = table(2_000);
+        let rows: Vec<(Rid, Row)> = t.scan().collect();
+        let records: Vec<(Rid, &[u8])> = t.heap().scan().collect();
+        let builder = IndexBuilder::new().page_size(1024);
+        for spec in [
+            IndexSpec::nonclustered("i", ["name"]).unwrap(),
+            IndexSpec::clustered("c", ["id", "name"]).unwrap(),
+        ] {
+            let (mut by_rows, mut by_records) = (SortedRun::new(), SortedRun::new());
+            for (rc, kc) in rows.chunks(300).zip(records.chunks(300)) {
+                let from_rows = SortedRun::from_rows(t.schema(), rc, &spec).unwrap();
+                let from_records = SortedRun::from_records(t.schema(), kc, &spec).unwrap();
+                assert_eq!(from_rows.entries, from_records.entries);
+                by_rows = by_rows.merge(&from_rows);
+                by_records = by_records.merge(&from_records);
+            }
+            assert_trees_identical(
+                &builder
+                    .build_from_sorted_run(t.schema(), &spec, &by_rows)
+                    .unwrap(),
+                &builder
+                    .build_from_sorted_run(t.schema(), &spec, &by_records)
+                    .unwrap(),
+            );
+        }
     }
 
     #[test]

@@ -52,6 +52,7 @@ pub mod error;
 pub mod io;
 pub mod kind;
 pub mod materialize;
+pub mod record;
 pub mod reservoir;
 pub mod sampler;
 pub mod strata;
@@ -64,6 +65,7 @@ pub use error::{SamplingError, SamplingResult};
 pub use io::CountingSource;
 pub use kind::{Allocation, SamplerKind, StrataMode};
 pub use materialize::MaterializedSample;
+pub use record::RecordBatch;
 pub use reservoir::ReservoirSampler;
 pub use sampler::{target_page_count, target_size, validate_fraction, RowSampler, SampledRow};
 pub use strata::Strata;

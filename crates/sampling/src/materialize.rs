@@ -18,7 +18,7 @@
 use crate::error::SamplingResult;
 use crate::kind::SamplerKind;
 use crate::sampler::SampledRow;
-use crate::stream::SampleStream;
+use crate::stream::{BatchSchedule, SampleStream};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use samplecf_storage::{Rid, Table, TableSource};
@@ -52,57 +52,29 @@ impl MaterializedSample {
     /// `(kind, seed)` see identical rows.  All source I/O happens inside
     /// this call; wrap `source` in a
     /// [`CountingSource`](samplecf_storage::CountingSource) to measure it.
+    ///
+    /// Kinds with a [`SampleStream`] drain it under the single-batch
+    /// schedule — the same draw, in the same order, as the kind's row
+    /// sampler — and copy the sliced records in without decoding them.
+    /// The other kinds draw rows through their [`RowSampler`](crate::RowSampler)
+    /// and encode them.
     pub fn draw(
         source: &dyn TableSource,
         kind: SamplerKind,
         seed: u64,
     ) -> SamplingResult<MaterializedSample> {
-        let sampler = kind.build()?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let sampled = sampler.sample(source, &mut rng)?;
-
-        let mut table = Table::with_page_size(
-            format!("{}#sample", source.name()),
-            source.schema().clone(),
-            source.page_size(),
-        )?;
-        let mut source_rids = Vec::with_capacity(sampled.len());
-        for (rid, row) in &sampled {
-            table.insert(row)?;
-            source_rids.push(*rid);
+        if kind.supports_streaming() {
+            let mut stream = kind.stream(BatchSchedule::one_shot())?;
+            return Self::from_stream(source, stream.as_mut(), &mut rng, seed);
         }
-        // A stratified draw's tags and weights are recomputable from
-        // metadata alone: the partition is a pure function of
-        // (frame, page count, k, mode), and a row's stratum of its page.
-        let (row_strata, strata_weights) =
-            if let SamplerKind::Stratified { strata, mode, .. } = kind {
-                let partition = match mode {
-                    crate::kind::StrataMode::EquiWidth => {
-                        crate::strata::Strata::equi_width(source, strata)?
-                    }
-                    crate::kind::StrataMode::EquiDepth => {
-                        crate::strata::Strata::equi_depth(source, strata)?
-                    }
-                };
-                let tags = source_rids
-                    .iter()
-                    .map(|rid| partition.stratum_of_page(rid.page) as u32)
-                    .collect();
-                (tags, partition.weights())
-            } else {
-                (Vec::new(), Vec::new())
-            };
-        Ok(MaterializedSample {
-            table,
-            source_rids,
-            source_name: source.name().to_string(),
-            source_rows: source.num_rows(),
-            source_pages: source.num_pages(),
-            kind,
-            seed,
-            row_strata,
-            strata_weights,
-        })
+        let sampled = kind.build()?.sample(source, &mut rng)?;
+        let mut sample = Self::empty(source, kind, seed)?;
+        for (rid, row) in &sampled {
+            sample.table.insert(row)?;
+            sample.source_rids.push(*rid);
+        }
+        Ok(sample)
     }
 
     /// Materialize an empty sample shell for `source`, ready to be filled
@@ -146,9 +118,10 @@ impl MaterializedSample {
         Ok(sample)
     }
 
-    /// Pull every remaining batch from `stream`, appending the new rows to
-    /// this sample, and adopt the stream's (possibly deepened) sampler
-    /// configuration.  Returns the number of rows appended.
+    /// Pull every remaining batch from `stream`, appending the new records
+    /// to this sample byte for byte (no decode, no re-encode), and adopt
+    /// the stream's (possibly deepened) sampler configuration.  Returns the
+    /// number of rows appended.
     ///
     /// This is what lets a cache *deepen* a sample: raise the stream's cap
     /// (`SampleStream::extend_cap`), then extend — the source only pays the
@@ -166,9 +139,9 @@ impl MaterializedSample {
             if batch.is_empty() {
                 break;
             }
-            for (rid, row) in &batch {
-                self.table.insert(row)?;
-                self.source_rids.push(*rid);
+            for (rid, record) in batch.iter() {
+                self.table.insert_record(record)?;
+                self.source_rids.push(rid);
             }
             if let Some(tags) = stream.batch_strata() {
                 self.row_strata.extend_from_slice(tags);
@@ -479,8 +452,22 @@ mod tests {
         let t = TableBuilder::new("empty", Schema::single_char("a", 8))
             .build()
             .unwrap();
-        let sample = MaterializedSample::draw(&t, SamplerKind::Block(0.5), 1).unwrap();
-        assert!(sample.is_empty());
-        assert_eq!(sample.rows().unwrap(), Vec::new());
+        for kind in [
+            SamplerKind::Block(0.5),
+            SamplerKind::UniformWithReplacement(0.5),
+            SamplerKind::UniformWithoutReplacement(0.5),
+            SamplerKind::Reservoir(4),
+            SamplerKind::Stratified {
+                fraction: 0.5,
+                strata: 3,
+                alloc: crate::kind::Allocation::Neyman,
+                mode: crate::kind::StrataMode::EquiDepth,
+            },
+        ] {
+            let sample = MaterializedSample::draw(&t, kind, 1).unwrap();
+            assert!(sample.is_empty(), "{kind:?}");
+            assert_eq!(sample.rows().unwrap(), Vec::new());
+            assert!(sample.row_strata().is_empty());
+        }
     }
 }

@@ -6,10 +6,11 @@
 //! Sampling with a Reservoir").
 
 use crate::error::{SamplingError, SamplingResult};
+use crate::record::RecordBatch;
 use crate::sampler::{RowSampler, SampledRow};
 use rand::Rng;
 use rand::RngCore;
-use samplecf_storage::{PageId, TableSource};
+use samplecf_storage::{PageId, Rid, TableSource};
 
 /// Fixed-size single-pass reservoir sampler.
 #[derive(Debug, Clone, Copy)]
@@ -34,6 +35,48 @@ impl ReservoirSampler {
     pub fn size(&self) -> usize {
         self.size
     }
+
+    /// Run the single pass and return the reservoir as encoded records.
+    ///
+    /// Pages are read one at a time and records are sliced out of them: a
+    /// record is copied only when it enters the reservoir, and nothing is
+    /// decoded.  The RNG sees exactly the calls the row-based Algorithm R
+    /// makes, so the reservoir's contents and order match
+    /// [`sample`](RowSampler::sample) record for row.
+    pub fn sample_records(
+        &self,
+        source: &dyn TableSource,
+        rng: &mut dyn RngCore,
+    ) -> SamplingResult<RecordBatch> {
+        // Stream page by page: memory stays O(reservoir + one page), which
+        // is the whole point of reservoir sampling on large (disk-resident)
+        // tables.  Replaced slots reuse their buffer.
+        let mut reservoir: Vec<(Rid, Vec<u8>)> = Vec::with_capacity(self.size);
+        let mut seen = 0usize;
+        for pid in 0..source.num_pages() {
+            let page = source.read_page_ref(pid as PageId)?;
+            for slot in 0..page.slot_count() {
+                let rid = Rid::new(pid as PageId, slot);
+                if reservoir.len() < self.size {
+                    reservoir.push((rid, page.get(slot)?.to_vec()));
+                } else {
+                    let j = rng.gen_range(0..=seen);
+                    if j < self.size {
+                        let kept = &mut reservoir[j];
+                        kept.0 = rid;
+                        kept.1.clear();
+                        kept.1.extend_from_slice(page.get(slot)?);
+                    }
+                }
+                seen += 1;
+            }
+        }
+        let mut out = RecordBatch::new();
+        for (rid, record) in &reservoir {
+            out.push(*rid, record);
+        }
+        Ok(out)
+    }
 }
 
 impl RowSampler for ReservoirSampler {
@@ -46,25 +89,7 @@ impl RowSampler for ReservoirSampler {
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
     ) -> SamplingResult<Vec<SampledRow>> {
-        // Stream page by page: memory stays O(reservoir + one page), which
-        // is the whole point of reservoir sampling on large (disk-resident)
-        // tables.
-        let mut reservoir: Vec<SampledRow> = Vec::with_capacity(self.size);
-        let mut seen = 0usize;
-        for pid in 0..source.num_pages() {
-            for (rid, row) in source.page_rows(pid as PageId)? {
-                if reservoir.len() < self.size {
-                    reservoir.push((rid, row));
-                } else {
-                    let j = rng.gen_range(0..=seen);
-                    if j < self.size {
-                        reservoir[j] = (rid, row);
-                    }
-                }
-                seen += 1;
-            }
-        }
-        Ok(reservoir)
+        self.sample_records(source, rng)?.decode(source.codec())
     }
 
     fn expected_sample_size(&self, n: usize) -> usize {
@@ -146,5 +171,40 @@ mod tests {
         }
         let ratio = first_half as f64 / second_half as f64;
         assert!(ratio > 0.8 && ratio < 1.25, "ratio = {ratio}");
+    }
+
+    #[test]
+    fn sliced_reservoir_equals_row_based_algorithm_r() {
+        // The row-based Algorithm R over decoded pages, as the oracle.
+        let t = TableBuilder::new("t", Schema::single_char("a", 12))
+            .page_size(256)
+            .build_with_rows((0..700).map(|i| Row::new(vec![Value::str(format!("v{i:05}"))])))
+            .unwrap();
+        for (size, seed) in [(1usize, 1u64), (13, 2), (200, 3), (699, 4), (5_000, 5)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle: Vec<SampledRow> = Vec::new();
+            let mut seen = 0usize;
+            for pid in 0..t.num_pages() {
+                for pair in t.page_rows(pid as PageId).unwrap() {
+                    if oracle.len() < size {
+                        oracle.push(pair);
+                    } else {
+                        let j = rng.gen_range(0..=seen);
+                        if j < size {
+                            oracle[j] = pair;
+                        }
+                    }
+                    seen += 1;
+                }
+            }
+            let records = ReservoirSampler::new(size)
+                .unwrap()
+                .sample_records(&t, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            assert_eq!(records.decode(t.codec()).unwrap(), oracle, "size {size}");
+            for ((_, bytes), (_, row)) in records.iter().zip(&oracle) {
+                assert_eq!(bytes, t.codec().encode(row).unwrap().as_slice());
+            }
+        }
     }
 }

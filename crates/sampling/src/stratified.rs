@@ -34,6 +34,7 @@
 
 use crate::error::SamplingResult;
 use crate::kind::{Allocation, SamplerKind, StrataMode};
+use crate::record::RecordBatch;
 use crate::sampler::{target_size, validate_fraction, RowSampler, SampledRow};
 use crate::strata::Strata;
 use crate::stream::{fetch_positions_coalesced, BatchSchedule, PageCache, SampleStream};
@@ -221,16 +222,16 @@ impl SampleStream for StratifiedStream {
         &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
+    ) -> SamplingResult<RecordBatch> {
         self.bind(source, rng)?;
         let alloc = self.alloc;
         let frame = self.frame.as_mut().expect("frame bound above");
         let Some(&target) = frame.targets.get(self.next_target) else {
             self.last_tags.clear();
-            return Ok(Vec::new());
+            return Ok(RecordBatch::new());
         };
         let delta = frame.assign_up_to(target, alloc);
-        let mut batch = Vec::with_capacity(target - self.drawn);
+        let mut batch = RecordBatch::new();
         self.last_tags.clear();
         for (s, &extra) in delta.iter().enumerate() {
             if extra == 0 {
@@ -248,10 +249,15 @@ impl SampleStream for StratifiedStream {
                     .map(|_| range.start + stratum_rng.gen_range(0..span))
                     .collect()
             };
-            let rows = fetch_positions_coalesced(source, &frame.rids, &positions, &mut self.cache)?;
+            fetch_positions_coalesced(
+                source,
+                &frame.rids,
+                &positions,
+                &mut self.cache,
+                &mut batch,
+            )?;
             self.last_tags
-                .extend(std::iter::repeat_n(s as u32, rows.len()));
-            batch.extend(rows);
+                .extend(std::iter::repeat_n(s as u32, positions.len()));
             frame.counts[s] += extra;
         }
         self.drawn = target;
@@ -316,12 +322,13 @@ impl SampleStream for StratifiedStream {
         }
     }
 
-    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
+    fn approx_retained_bytes(&self) -> usize {
+        // The rid frame plus every page the page cache holds.
         let frame = self
             .frame
             .as_ref()
             .map_or(0, |f| f.rids.len() * std::mem::size_of::<Rid>());
-        frame + self.cache.rows_cached() * (std::mem::size_of::<SampledRow>() + row_bytes)
+        frame + self.cache.bytes_cached()
     }
 }
 
@@ -379,7 +386,7 @@ impl RowSampler for StratifiedSampler {
             if batch.is_empty() {
                 return Ok(out);
             }
-            out.extend(batch);
+            out.extend(batch.decode(source.codec())?);
         }
     }
 
@@ -412,7 +419,7 @@ mod tests {
             if b.is_empty() {
                 return rows;
             }
-            rows.extend(b);
+            rows.extend(b.decode(source.codec()).unwrap());
         }
     }
 
@@ -531,14 +538,7 @@ mod tests {
         assert!(!first.is_empty());
         // Declare stratum 2 wildly more variable than the rest.
         stream.update_stratum_variances(&[0.0, 0.0, 10.0, 0.0]);
-        let mut rest = Vec::new();
-        loop {
-            let b = stream.next_batch(&t, &mut rng).unwrap();
-            if b.is_empty() {
-                break;
-            }
-            rest.extend(b);
-        }
+        while !stream.next_batch(&t, &mut rng).unwrap().is_empty() {}
         let counts = stream.stratum_counts();
         assert_eq!(counts.iter().sum::<usize>(), 400);
         // Nearly the whole remaining budget goes to the noisy stratum.

@@ -1,6 +1,6 @@
 //! Streaming samplers: batch-extendable draws for progressive estimation.
 //!
-//! A one-shot [`RowSampler`] answers "draw a
+//! A one-shot [`RowSampler`](crate::RowSampler) answers "draw a
 //! sample of fraction `f`" — the caller must guess `f` up front.  A
 //! [`SampleStream`] inverts that: it yields the *same* draw in growing
 //! batches, so a consumer can measure after every batch and stop as soon as
@@ -36,10 +36,12 @@
 
 use crate::error::{SamplingError, SamplingResult};
 use crate::kind::SamplerKind;
+use crate::record::RecordBatch;
 use crate::reservoir::ReservoirSampler;
-use crate::sampler::{target_page_count, target_size, validate_fraction, RowSampler, SampledRow};
+use crate::sampler::{target_page_count, target_size, validate_fraction};
 use rand::{Rng, RngCore};
-use samplecf_storage::{PageId, Rid, TableSource};
+use samplecf_storage::{Page, PageId, Rid, TableSource};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// The geometric batch schedule of a stream: the first batch targets
@@ -123,14 +125,15 @@ pub trait SampleStream: Send + Sync {
     /// cap (deepening via [`extend_cap`](Self::extend_cap) updates it).
     fn kind(&self) -> SamplerKind;
 
-    /// Draw the next batch of rows.  Returns an empty vector once the
+    /// Draw the next batch of rows, as encoded records sliced out of
+    /// their pages (nothing is decoded).  Returns an empty batch once the
     /// stream has reached its cap.  The same `source` and a deterministic
     /// `rng` must be passed on every call.
     fn next_batch(
         &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>>;
+    ) -> SamplingResult<RecordBatch>;
 
     /// Total rows drawn so far (duplicates counted).
     fn rows_drawn(&self) -> usize;
@@ -148,13 +151,12 @@ pub trait SampleStream: Send + Sync {
     fn extend_cap(&mut self, kind: SamplerKind) -> bool;
 
     /// Approximate bytes of state this stream retains between batches
-    /// (rid frames, cached decoded pages, a held-back reservoir), priced
-    /// at `row_bytes` per retained row.  Holders with a memory budget (the
-    /// server's sample cache) charge this against the entry; dropping the
-    /// stream releases it.  The default is for streams that retain nothing
-    /// worth counting.
-    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
-        let _ = row_bytes;
+    /// (rid frames, cached pages at their full page size, a held-back
+    /// reservoir's records).  Holders with a memory budget (the server's
+    /// sample cache) charge this against the entry; dropping the stream
+    /// releases it.  The default is for streams that retain nothing worth
+    /// counting.
+    fn approx_retained_bytes(&self) -> usize {
         0
     }
 
@@ -267,17 +269,21 @@ impl SamplerKind {
     }
 }
 
-/// A per-stream cache of decoded pages, keyed by page id.
+/// A per-stream cache of pages, keyed by page id.
 ///
-/// Row fetches coalesce through it: the first row needed from a page pays
-/// one physical [`page_rows`](TableSource::page_rows) read, every later row
-/// on that page is free.  Holding decoded rows trades memory (bounded by
-/// the distinct pages the sample touches) for schedule-independent I/O —
-/// the poor man's buffer pool that makes the pages-read count of a draw
-/// depend only on *which* rows were drawn, not on how the draw was batched.
+/// Record fetches coalesce through it: the first record needed from a page
+/// pays one physical [`read_page_ref`](TableSource::read_page_ref), every
+/// later record on that page is sliced out of the cached copy for free.
+/// The cache keeps the [`Page`] the read produced — nothing is decoded,
+/// and a disk read's owned page is moved in without a copy (an in-memory
+/// source's borrowed page is cloned, since the cache outlives the borrow).
+/// Holding pages trades memory (one page per distinct page the sample
+/// touches) for schedule-independent I/O — the poor man's buffer pool that
+/// makes the pages-read count of a draw depend only on *which* rows were
+/// drawn, not on how the draw was batched.
 #[derive(Debug, Default)]
 pub struct PageCache {
-    pages: HashMap<PageId, Vec<SampledRow>>,
+    pages: HashMap<PageId, Page>,
 }
 
 impl PageCache {
@@ -293,52 +299,47 @@ impl PageCache {
         self.pages.len()
     }
 
-    /// Total decoded rows held across all cached pages — the unit a
+    /// Bytes held: every cached page at its full page size — the unit a
     /// memory-budgeted holder prices this cache in.
     #[must_use]
-    pub fn rows_cached(&self) -> usize {
-        self.pages.values().map(Vec::len).sum()
+    pub fn bytes_cached(&self) -> usize {
+        self.pages.values().map(Page::page_size).sum()
     }
 
-    /// Fetch the row at `rid`, reading (and caching) its page on first use.
-    pub fn get(&mut self, source: &dyn TableSource, rid: Rid) -> SamplingResult<SampledRow> {
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.pages.entry(rid.page) {
-            slot.insert(source.page_rows(rid.page)?);
-        }
-        let rows = &self.pages[&rid.page];
-        let row = rows
-            .iter()
-            .find(|(r, _)| *r == rid)
-            .map(|(_, row)| row.clone())
-            .ok_or_else(|| {
-                SamplingError::Storage(samplecf_storage::StorageError::InvalidFormat(format!(
-                    "rid {rid} not found on its page"
-                )))
-            })?;
-        Ok((rid, row))
+    /// The encoded record at `rid`, reading (and caching) its page on
+    /// first use.
+    pub fn get(&mut self, source: &dyn TableSource, rid: Rid) -> SamplingResult<&[u8]> {
+        let page = match self.pages.entry(rid.page) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => slot.insert(source.read_page_ref(rid.page)?.into_owned()),
+        };
+        Ok(page.get(rid.slot)?)
     }
 }
 
-/// Fetch the rows at the given positions of the RID frame, sorted by RID
-/// and page-coalesced through `cache`.
+/// Append the records at the given positions of the RID frame to `out`,
+/// sorted by RID and page-coalesced through `cache`.
 ///
 /// Compared with [`fetch_positions`](crate::sampler::fetch_positions), the
-/// returned rows are in RID order (duplicates adjacent) rather than draw
-/// order — an order change the estimator is insensitive to, since the index
-/// bulk load re-sorts by key anyway — and each distinct page costs exactly
-/// one physical read instead of one read per drawn row.
+/// records come in RID order (duplicates adjacent) rather than draw order
+/// — an order change the estimator is insensitive to, since the index bulk
+/// load re-sorts by key anyway — and each distinct page costs exactly one
+/// physical read instead of one read per drawn row.  Only the selected
+/// records are copied out of their pages.
 pub fn fetch_positions_coalesced(
     source: &dyn TableSource,
     rids: &[Rid],
     positions: &[usize],
     cache: &mut PageCache,
-) -> SamplingResult<Vec<SampledRow>> {
+    out: &mut RecordBatch,
+) -> SamplingResult<()> {
     let mut sorted: Vec<usize> = positions.to_vec();
     sorted.sort_unstable();
-    sorted
-        .into_iter()
-        .map(|p| cache.get(source, rids[p]))
-        .collect()
+    for p in sorted {
+        let rid = rids[p];
+        out.push(rid, cache.get(source, rid)?);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ pub fn fetch_positions_coalesced(
 
 /// Streaming uniform-with-replacement draw: row positions are generated one
 /// RNG call at a time (the same sequence the one-shot sampler consumes) and
-/// fetched page-coalesced through a persistent [`PageCache`].
+/// sliced page-coalesced out of a persistent [`PageCache`].
 pub struct UniformWrStream {
     fraction: f64,
     schedule: BatchSchedule,
@@ -387,7 +388,7 @@ impl SampleStream for UniformWrStream {
         &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
+    ) -> SamplingResult<RecordBatch> {
         if self.frame.is_none() {
             let rids = source.rids()?;
             let max_rows = target_size(rids.len(), self.fraction);
@@ -397,11 +398,12 @@ impl SampleStream for UniformWrStream {
         let (rids, targets) = self.frame.as_ref().expect("frame bound above");
         let n = rids.len();
         let Some(&target) = targets.get(self.next_target) else {
-            return Ok(Vec::new());
+            return Ok(RecordBatch::new());
         };
         let batch_rows = target - self.drawn;
         let positions: Vec<usize> = (0..batch_rows).map(|_| rng.gen_range(0..n)).collect();
-        let batch = fetch_positions_coalesced(source, rids, &positions, &mut self.cache)?;
+        let mut batch = RecordBatch::new();
+        fetch_positions_coalesced(source, rids, &positions, &mut self.cache, &mut batch)?;
         self.drawn = target;
         self.next_target += 1;
         Ok(batch)
@@ -436,13 +438,13 @@ impl SampleStream for UniformWrStream {
         true
     }
 
-    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
-        // The rid frame plus every decoded row the page cache holds.
+    fn approx_retained_bytes(&self) -> usize {
+        // The rid frame plus every page the page cache holds.
         let frame = self
             .frame
             .as_ref()
             .map_or(0, |(rids, _)| rids.len() * std::mem::size_of::<Rid>());
-        frame + self.cache.rows_cached() * (std::mem::size_of::<SampledRow>() + row_bytes)
+        frame + self.cache.bytes_cached()
     }
 }
 
@@ -500,7 +502,8 @@ impl IncrementalFisherYates {
 /// Streaming block (page) sampler: pages come out of an
 /// [`IncrementalFisherYates`] permutation, so the page set after `k` draws
 /// equals a one-shot selection of `k` pages with the same seed.  Each batch
-/// reads its new pages in ascending page order.
+/// reads its new pages in ascending page order and slices every record off
+/// them.
 pub struct BlockStream {
     fraction: f64,
     schedule: BatchSchedule,
@@ -538,7 +541,7 @@ impl SampleStream for BlockStream {
         &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
+    ) -> SamplingResult<RecordBatch> {
         if self.state.is_none() {
             let num_pages = source.num_pages();
             let max_pages = target_page_count(num_pages, self.fraction);
@@ -547,7 +550,7 @@ impl SampleStream for BlockStream {
         }
         let (fy, targets) = self.state.as_mut().expect("state bound above");
         let Some(&target) = targets.get(self.next_target) else {
-            return Ok(Vec::new());
+            return Ok(RecordBatch::new());
         };
         let mut page_ids: Vec<PageId> = Vec::with_capacity(target - fy.drawn());
         while fy.drawn() < target {
@@ -555,9 +558,9 @@ impl SampleStream for BlockStream {
             page_ids.push(p as PageId);
         }
         page_ids.sort_unstable();
-        let mut batch = Vec::new();
+        let mut batch = RecordBatch::new();
         for pid in page_ids {
-            batch.extend(source.page_rows(pid)?);
+            batch.push_page(source.read_page_ref(pid)?.as_page())?;
         }
         self.rows_drawn += batch.len();
         self.next_target += 1;
@@ -592,7 +595,7 @@ impl SampleStream for BlockStream {
         true
     }
 
-    fn approx_retained_bytes(&self, _row_bytes: usize) -> usize {
+    fn approx_retained_bytes(&self) -> usize {
         // Only the displaced-slot map of the partial shuffle: two words per
         // page drawn so far.
         self.pages_selected() * 2 * std::mem::size_of::<usize>()
@@ -605,15 +608,16 @@ impl SampleStream for BlockStream {
 
 /// Streaming reservoir draw.  Reservoir sampling needs the complete scan
 /// before any row's membership is final, so the first batch runs the
-/// one-shot sampler (paying the full-scan I/O) and later batches emit
-/// slices of the finished reservoir on the stream's schedule.  Progressive
+/// one-shot record scan ([`ReservoirSampler::sample_records`], paying the
+/// full-scan I/O) and later batches emit slices of the finished reservoir
+/// on the stream's schedule.  Progressive
 /// consumers still get growing sub-samples to measure on, but no I/O is
 /// saved by stopping early — the honest cost model of scan-based samplers.
 pub struct ReservoirStream {
     size: usize,
     schedule: BatchSchedule,
     /// Bound on first use: (finished reservoir, cumulative row targets).
-    reservoir: Option<(Vec<SampledRow>, Vec<usize>)>,
+    reservoir: Option<(RecordBatch, Vec<usize>)>,
     next_target: usize,
     emitted: usize,
 }
@@ -642,9 +646,9 @@ impl SampleStream for ReservoirStream {
         &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
+    ) -> SamplingResult<RecordBatch> {
         if self.reservoir.is_none() {
-            let rows = ReservoirSampler::new(self.size)?.sample(source, rng)?;
+            let rows = ReservoirSampler::new(self.size)?.sample_records(source, rng)?;
             // Slice targets follow the same row schedule as the other
             // streams, capped at the reservoir's actual size.
             let max_rows = rows.len();
@@ -655,9 +659,9 @@ impl SampleStream for ReservoirStream {
         }
         let (rows, targets) = self.reservoir.as_ref().expect("reservoir bound above");
         let Some(&target) = targets.get(self.next_target) else {
-            return Ok(Vec::new());
+            return Ok(RecordBatch::new());
         };
-        let batch = rows[self.emitted..target].to_vec();
+        let batch = rows.slice(self.emitted..target);
         self.emitted = target;
         self.next_target += 1;
         Ok(batch)
@@ -679,11 +683,11 @@ impl SampleStream for ReservoirStream {
         false
     }
 
-    fn approx_retained_bytes(&self, row_bytes: usize) -> usize {
+    fn approx_retained_bytes(&self) -> usize {
         // The whole scanned reservoir is held until sliced out.
-        self.reservoir.as_ref().map_or(0, |(rows, _)| {
-            rows.len() * (std::mem::size_of::<SampledRow>() + row_bytes)
-        })
+        self.reservoir
+            .as_ref()
+            .map_or(0, |(rows, _)| rows.approx_bytes())
     }
 }
 
@@ -691,6 +695,7 @@ impl SampleStream for ReservoirStream {
 mod tests {
     use super::*;
     use crate::block::BlockSampler;
+    use crate::sampler::{RowSampler, SampledRow};
     use crate::uniform::UniformWithReplacement;
     use rand::rngs::StdRng;
     use rand::seq::index;
@@ -708,7 +713,7 @@ mod tests {
         stream: &mut dyn SampleStream,
         source: &dyn TableSource,
         rng: &mut StdRng,
-    ) -> Vec<Vec<SampledRow>> {
+    ) -> Vec<RecordBatch> {
         let mut batches = Vec::new();
         loop {
             let b = stream.next_batch(source, rng).unwrap();
@@ -718,6 +723,14 @@ mod tests {
             batches.push(b);
         }
         batches
+    }
+
+    /// Every drained record, decoded, in draw order.
+    fn decoded(batches: &[RecordBatch], source: &dyn TableSource) -> Vec<SampledRow> {
+        batches
+            .iter()
+            .flat_map(|b| b.decode(source.codec()).unwrap())
+            .collect()
     }
 
     fn sorted(mut rows: Vec<SampledRow>) -> Vec<SampledRow> {
@@ -777,7 +790,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let batches = drain(stream.as_mut(), &t, &mut rng);
         assert!(batches.len() > 1, "expected several geometric batches");
-        let drained: Vec<SampledRow> = batches.into_iter().flatten().collect();
+        let drained = decoded(&batches, &t);
         assert_eq!(drained.len(), 200);
         assert_eq!(stream.rows_drawn(), 200);
         assert!(stream.exhausted());
@@ -821,7 +834,7 @@ mod tests {
         assert!(batches.len() > 1);
         let mut pages: Vec<PageId> = batches
             .iter()
-            .flatten()
+            .flat_map(RecordBatch::iter)
             .map(|(rid, _)| rid.page)
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
@@ -844,7 +857,7 @@ mod tests {
             .unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let batches = drain(stream.as_mut(), &counting, &mut rng);
-        let drained: Vec<SampledRow> = batches.into_iter().flatten().collect();
+        let drained = decoded(&batches, &t);
         assert_eq!(drained, oneshot, "slices concatenate to the reservoir");
         // The scan was paid once, on the first batch.
         assert_eq!(counting.pages_read() as usize, t.num_pages());
@@ -859,11 +872,11 @@ mod tests {
             .stream(BatchSchedule::one_shot())
             .unwrap();
         let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rows_a: Vec<SampledRow> = drain(a.as_mut(), &t, &mut rng_a).concat();
+        let mut rows_a = decoded(&drain(a.as_mut(), &t, &mut rng_a), &t);
         assert_eq!(rows_a.len(), 100);
         assert!(a.extend_cap(SamplerKind::UniformWithReplacement(0.15)));
         assert_eq!(a.kind(), SamplerKind::UniformWithReplacement(0.15));
-        rows_a.extend(drain(a.as_mut(), &t, &mut rng_a).concat());
+        rows_a.extend(decoded(&drain(a.as_mut(), &t, &mut rng_a), &t));
         // Stream B: a fresh draw straight at 15%.
         let rows_b = UniformWithReplacement::new(0.15)
             .unwrap()
@@ -904,6 +917,29 @@ mod tests {
         ] {
             assert!(kind.supports_streaming());
         }
+    }
+
+    #[test]
+    fn a_drained_uniform_stream_retains_its_pages_and_frame_only() {
+        let t = table(3_000);
+        let counting = CountingSource::new(&t);
+        let mut stream = SamplerKind::UniformWithReplacement(0.05)
+            .stream(BatchSchedule::default())
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        drain(stream.as_mut(), &counting, &mut rng);
+        let pages = counting.pages_read() as usize;
+        let frame = t.num_rows() * std::mem::size_of::<Rid>();
+        let retained = stream.approx_retained_bytes();
+        assert!(pages > 0);
+        assert!(
+            retained <= pages * t.page_size() + frame,
+            "retained {retained} B for {pages} pages of {} B plus a {frame} B frame",
+            t.page_size()
+        );
+        // Every page read is held (that is what keeps deepening's I/O
+        // schedule-independent), priced at its full size.
+        assert_eq!(retained, pages * t.page_size() + frame);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Row-level uniform samplers.
 
 use crate::error::SamplingResult;
+use crate::record::RecordBatch;
 use crate::sampler::{fetch_positions, target_size, validate_fraction, RowSampler, SampledRow};
 use crate::stream::{fetch_positions_coalesced, PageCache};
 use rand::seq::index;
@@ -53,7 +54,15 @@ impl RowSampler for UniformWithReplacement {
         // insensitive to the resulting rid order — the index bulk load
         // re-sorts by key — and the I/O drops from one page read per drawn
         // row to one per distinct page.
-        fetch_positions_coalesced(source, &rids, &positions, &mut PageCache::new())
+        let mut records = RecordBatch::new();
+        fetch_positions_coalesced(
+            source,
+            &rids,
+            &positions,
+            &mut PageCache::new(),
+            &mut records,
+        )?;
+        records.decode(source.codec())
     }
 
     fn expected_sample_size(&self, n: usize) -> usize {

@@ -46,7 +46,7 @@ fn drain(
         if b.is_empty() {
             return rows;
         }
-        rows.extend(b);
+        rows.extend(b.decode(source.codec()).unwrap());
     }
 }
 

@@ -1,6 +1,6 @@
 //! Tables: a schema plus a heap file of encoded rows.
 
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::heap::HeapFile;
 use crate::page::DEFAULT_PAGE_SIZE;
 use crate::rid::Rid;
@@ -86,6 +86,21 @@ impl Table {
     pub fn insert(&mut self, row: &Row) -> StorageResult<Rid> {
         let bytes = self.codec.encode(row)?;
         self.heap.insert(&bytes)
+    }
+
+    /// Insert a record already encoded with this table's codec (for
+    /// example, one sliced out of another table's page), without decoding
+    /// or re-encoding it.  Only the length is checked: records are fixed
+    /// width per schema.
+    pub fn insert_record(&mut self, record: &[u8]) -> StorageResult<Rid> {
+        if record.len() != self.codec.record_size() {
+            return Err(StorageError::Decode(format!(
+                "record length {} does not match schema record size {}",
+                record.len(),
+                self.codec.record_size()
+            )));
+        }
+        self.heap.insert(record)
     }
 
     /// Fetch and decode the row stored at `rid`.
@@ -235,5 +250,20 @@ mod tests {
             .insert(&Row::new(vec![Value::int(3), Value::int(4)]))
             .is_err());
         assert_eq!(t.num_rows(), 0);
+    }
+
+    #[test]
+    fn insert_record_stores_encoded_bytes_verbatim() {
+        let src = TableBuilder::new("src", schema())
+            .build_with_rows(rows(5))
+            .unwrap();
+        let mut t = Table::new("t", schema());
+        for (rid, record) in src.heap().scan() {
+            let local = t.insert_record(record).unwrap();
+            assert_eq!(t.heap().get(local).unwrap(), record);
+            assert_eq!(t.get(local).unwrap(), src.get(rid).unwrap());
+        }
+        assert!(t.insert_record(&[0u8; 3]).is_err(), "wrong width");
+        assert_eq!(t.num_rows(), 5);
     }
 }
