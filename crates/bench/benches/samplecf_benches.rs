@@ -25,7 +25,7 @@ use samplecf_compression::{scheme_by_name, scheme_names, ColumnChunk, NullSuppre
 use samplecf_core::{ExactCf, ProgressiveCf, ProgressiveConfig, SampleCf};
 use samplecf_datagen::presets;
 use samplecf_index::{compress_index, measure_index, IndexBuilder, IndexSpec};
-use samplecf_sampling::{MaterializedSample, SamplerKind};
+use samplecf_sampling::{BatchSchedule, MaterializedSample, SamplerKind};
 use samplecf_storage::{DataType, Value};
 use std::hint::black_box;
 
@@ -172,14 +172,14 @@ fn bench_sampling_throughput(c: &mut Criterion) {
         SamplerKind::Block(0.01),
     ];
     for kind in kinds {
-        let sampler = kind.build().unwrap();
         group.bench_function(
-            BenchmarkId::new("sample_1pct_of_100k", sampler.name()),
+            BenchmarkId::new("sample_1pct_of_100k", kind.family()),
             |b| {
                 b.iter(|| {
                     use rand::SeedableRng;
                     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-                    black_box(sampler.sample(&table, &mut rng).unwrap().len())
+                    let mut stream = kind.stream(BatchSchedule::one_shot()).unwrap();
+                    black_box(stream.next_batch(&table, &mut rng).unwrap().len())
                 });
             },
         );

@@ -35,7 +35,7 @@ use crate::estimator::measure_rows;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{IndexBuilder, IndexSizeModel, IndexSpec};
 use samplecf_obs::{Counter, Histogram, MetricsRegistry};
-use samplecf_sampling::{SampledRow, SamplerKind};
+use samplecf_sampling::{BatchSchedule, SampledRow, SamplerKind};
 use samplecf_storage::{SharedSource, TableSource};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -353,9 +353,9 @@ pub struct CompressionAdvisor {
 impl CompressionAdvisor {
     /// Create an advisor with the given configuration.
     pub fn new(config: AdvisorConfig) -> CoreResult<Self> {
-        // Building the sampler validates its parameters (e.g. fraction in
-        // (0, 1]) without drawing anything.
-        config.sampler.build()?;
+        // Building the sampler's stream validates its parameters (e.g.
+        // fraction in (0, 1]) without drawing anything.
+        config.sampler.stream(BatchSchedule::one_shot())?;
         if !(0.0..=1.0).contains(&config.min_saving_fraction) {
             return Err(CoreError::InvalidConfig(format!(
                 "min saving fraction must be in [0, 1], got {}",
@@ -396,7 +396,7 @@ impl CompressionAdvisor {
             let kind = c.sampler.unwrap_or(self.config.sampler);
             // Validate per-candidate overrides the same way `new` validates
             // the default.
-            kind.build()?;
+            kind.stream(BatchSchedule::one_shot())?;
             requests.push((
                 Arc::clone(&c.source),
                 kind,

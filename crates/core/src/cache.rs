@@ -62,9 +62,9 @@ pub struct CachedSample {
     pages_read: u64,
     draw_elapsed: Duration,
     uses: usize,
-    /// Live draw state for streaming entries: keeping the stream and its
-    /// RNG is what allows the entry to be deepened later at only the
-    /// delta's I/O cost.
+    /// Live draw state of an unsealed entry whose stream can grow: keeping
+    /// the stream and its RNG is what allows the entry to be deepened
+    /// later at only the delta's I/O cost.
     stream: Option<(Box<dyn SampleStream>, StdRng)>,
 }
 
@@ -76,39 +76,22 @@ impl CachedSample {
     /// pages it cost.  No stream state is retained: the entry serves hits
     /// at this exact configuration but cannot be deepened.
     pub fn draw(source: &SharedSource, kind: SamplerKind, seed: u64) -> CoreResult<CachedSample> {
-        let counting = CountingSource::new(source.as_ref());
-        let started = Instant::now();
-        let sample = MaterializedSample::draw(&counting, kind, seed)?;
-        let draw_elapsed = started.elapsed();
-        let pages_read = counting.pages_read();
-        let rows = Arc::new(sample.rows()?);
-        Ok(CachedSample {
-            source: Arc::clone(source),
-            kind,
-            seed,
-            sample,
-            rows,
-            pages_read,
-            draw_elapsed,
-            uses: 1,
-            stream: None,
-        })
+        let mut entry = Self::draw_streaming(source, kind, seed)?;
+        entry.seal();
+        Ok(entry)
     }
 
-    /// Like [`draw`](Self::draw), but through a [`SampleStream`] whose live
-    /// state is kept in the entry, so a later request for a *deeper*
+    /// Like [`draw`](Self::draw), but the live [`SampleStream`] is kept in
+    /// the entry when it can grow, so a later request for a *deeper*
     /// fraction of the same (source, family, seed) can
-    /// [`deepen`](Self::deepen) the draw instead of redrawing.  Falls back
-    /// to a plain [`draw`](Self::draw) for sampler kinds without a
-    /// streaming implementation.
+    /// [`deepen`](Self::deepen) the draw instead of redrawing.  A stream
+    /// that cannot grow (the scan samplers) is dropped here, so its state
+    /// is never held or priced.
     pub fn draw_streaming(
         source: &SharedSource,
         kind: SamplerKind,
         seed: u64,
     ) -> CoreResult<CachedSample> {
-        if !kind.supports_streaming() {
-            return Self::draw(source, kind, seed);
-        }
         let counting = CountingSource::new(source.as_ref());
         let started = Instant::now();
         let mut stream = kind.stream(BatchSchedule::one_shot())?;
@@ -117,6 +100,9 @@ impl CachedSample {
         let draw_elapsed = started.elapsed();
         let pages_read = counting.pages_read();
         let rows = Arc::new(sample.rows()?);
+        // Extending a stream to its own kind changes nothing and reports
+        // whether it can grow at all.
+        let growable = stream.extend_cap(kind);
         Ok(CachedSample {
             source: Arc::clone(source),
             kind,
@@ -126,7 +112,7 @@ impl CachedSample {
             pages_read,
             draw_elapsed,
             uses: 1,
-            stream: Some((stream, rng)),
+            stream: growable.then_some((stream, rng)),
         })
     }
 
@@ -136,7 +122,6 @@ impl CachedSample {
     #[must_use]
     pub fn deepenable_to(&self, kind: SamplerKind) -> bool {
         self.stream.is_some()
-            && kind.supports_streaming()
             && self.kind.family() == kind.family()
             && matches!(
                 (self.kind.fraction(), kind.fraction()),
@@ -249,8 +234,8 @@ impl CachedSample {
     /// Deterministic estimate of this entry's resident size in bytes: the
     /// materialized sample's heap pages, the decoded row snapshot (priced
     /// at the schema's fixed record width), and any state the live stream
-    /// retains for deepening (rid frame, cached pages at their page size, a
-    /// held reservoir's records).  This is the unit the server cache's byte
+    /// retains for deepening (rid frame, cached pages at their page size,
+    /// shuffle state).  This is the unit the server cache's byte
     /// budget evicts against; [`seal`](Self::seal)ing releases the
     /// stream's share.
     #[must_use]
@@ -334,8 +319,9 @@ impl SampleCache {
     /// chunk).  The entry keeps its id; the shallow configuration's key is
     /// retired, since the entry now answers for the deeper one.
     ///
-    /// Non-streaming sampler kinds fall back to plain
-    /// [`get_or_draw`](Self::get_or_draw) behaviour.
+    /// Kinds whose streams cannot grow (the scan samplers) never find an
+    /// extendable entry and draw afresh, like
+    /// [`get_or_draw`](Self::get_or_draw).
     pub fn get_or_deepen(
         &mut self,
         source: &SharedSource,
@@ -346,9 +332,6 @@ impl SampleCache {
         if let Some(&id) = self.index.get(&key) {
             self.entries[id].uses += 1;
             return Ok(id);
-        }
-        if !kind.supports_streaming() {
-            return self.get_or_draw(source, kind, seed);
         }
         // Look for the deepest extendable entry of the same family.
         let candidate = self
@@ -376,8 +359,8 @@ impl SampleCache {
                 return Ok(id);
             }
         }
-        // No extendable entry: draw fresh, keeping the stream for later
-        // deepening.
+        // No extendable entry: draw fresh, keeping a growable stream for
+        // later deepening.
         let id = self.entries.len();
         self.entries
             .push(CachedSample::draw_streaming(source, kind, seed)?);
@@ -703,11 +686,54 @@ mod tests {
         let other_family = cache.get_or_deepen(&t, SamplerKind::Block(0.1), 1).unwrap();
         assert_ne!(other_family, id);
         assert_eq!(cache.len(), 3);
-        // Non-streaming kinds fall back to plain draws.
+        // Scan kinds cannot deepen: they draw plainly.
         let bernoulli = cache
             .get_or_deepen(&t, SamplerKind::Bernoulli(0.1), 1)
             .unwrap();
         assert_eq!(cache.entry(bernoulli).kind(), SamplerKind::Bernoulli(0.1));
+    }
+
+    #[test]
+    fn a_deeper_scan_request_leaves_the_shallow_entry_a_hit() {
+        let t = table("t", 24);
+        let mut cache = SampleCache::new();
+        let shallow = SamplerKind::Bernoulli(0.1);
+        let id = cache.get_or_deepen(&t, shallow, 3).unwrap();
+        assert!(!cache.entry(id).deepenable_to(SamplerKind::Bernoulli(0.2)));
+        let deeper = cache
+            .get_or_deepen(&t, SamplerKind::Bernoulli(0.2), 3)
+            .unwrap();
+        assert_ne!(deeper, id, "a scan draw is redrawn, not extended");
+        assert_eq!(cache.get_or_deepen(&t, shallow, 3).unwrap(), id);
+        assert_eq!(cache.entry(id).uses(), 2);
+        assert_eq!(cache.entry(id).kind(), shallow);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn scan_entries_hold_and_price_no_stream() {
+        // A finished scan cannot grow, so its stream (which would hold a
+        // second copy of the reservoir) is dropped at draw time.
+        let t = table("t", 25);
+        for kind in [
+            SamplerKind::Reservoir(150),
+            SamplerKind::Bernoulli(0.1),
+            SamplerKind::Systematic(0.1),
+        ] {
+            let live = CachedSample::draw_streaming(&t, kind, 4).unwrap();
+            let sealed = CachedSample::draw(&t, kind, 4).unwrap();
+            // The sample's pages plus its row snapshot, nothing more.
+            let table = live.sample().table();
+            let row_bytes = std::mem::size_of::<SampledRow>() + table.codec().record_size();
+            assert_eq!(
+                live.approx_bytes(),
+                table.num_pages() * table.page_size() + live.rows().len() * row_bytes,
+                "{kind:?}"
+            );
+            assert_eq!(live.approx_bytes(), sealed.approx_bytes(), "{kind:?}");
+            assert!(format!("{live:?}").contains("streaming: false"), "{kind:?}");
+            assert_eq!(live.rows(), sealed.rows());
+        }
     }
 
     #[test]

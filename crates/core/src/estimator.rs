@@ -14,11 +14,9 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::metrics::ratio_error;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::{measure_index, CompressedIndexReport, IndexBuilder, IndexSpec};
-use samplecf_sampling::{MaterializedSample, RowSampler, SamplerKind};
+use samplecf_sampling::{MaterializedSample, SamplerKind};
 use samplecf_storage::{decode_cell, DataType, PageId, Rid, RowCodec, Schema, TableSource, Value};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -562,54 +560,22 @@ impl SampleCf {
     /// [`DiskTable`](samplecf_storage::DiskTable) with a block sampler, only
     /// the sampled pages are physically read.
     ///
-    /// For sampler kinds with a streaming implementation (uniform-wr, block,
-    /// reservoir) this is a thin wrapper over
+    /// This is a thin wrapper over
     /// [`ProgressiveCf`](crate::progressive::ProgressiveCf) with a single
     /// checkpoint at the configured fraction — same rows, same CF, same
     /// [`DataStats`], same pages read as the progressive path stopped at
-    /// that fraction (the parity the proptests pin).  Kinds without a
-    /// stream keep the direct draw-then-measure path.
+    /// that fraction (the parity the proptests pin).
     pub fn estimate(
         &self,
         source: &dyn TableSource,
         spec: &IndexSpec,
         scheme: &dyn CompressionScheme,
     ) -> CoreResult<CfMeasurement> {
-        if self.sampler.supports_streaming() {
-            let report = crate::progressive::ProgressiveCf::one_checkpoint(self.sampler)
-                .seed(self.seed)
-                .builder(self.builder)
-                .run(source, spec, scheme)?;
-            return Ok(report.measurement);
-        }
-        let sampler = self.sampler.build()?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        self.estimate_with(source, spec, scheme, sampler.as_ref(), &mut rng)
-    }
-
-    /// Run the estimator with an explicit sampler instance and RNG (used by
-    /// the trial runner to control seeds per trial).
-    pub fn estimate_with(
-        &self,
-        source: &dyn TableSource,
-        spec: &IndexSpec,
-        scheme: &dyn CompressionScheme,
-        sampler: &dyn RowSampler,
-        rng: &mut dyn rand::RngCore,
-    ) -> CoreResult<CfMeasurement> {
-        let sample_start = Instant::now();
-        let sample = sampler.sample(source, rng)?;
-        let sampling_time = sample_start.elapsed();
-        let mut m = measure_rows(
-            source.schema(),
-            &sample,
-            spec,
-            scheme,
-            &self.builder,
-            self.sampler.label(),
-        )?;
-        m.elapsed += sampling_time;
-        Ok(m)
+        let report = crate::progressive::ProgressiveCf::one_checkpoint(self.sampler)
+            .seed(self.seed)
+            .builder(self.builder)
+            .run(source, spec, scheme)?;
+        Ok(report.measurement)
     }
 
     /// Run the estimator over an already-drawn [`MaterializedSample`]

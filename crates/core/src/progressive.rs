@@ -248,7 +248,7 @@ impl ProgressiveCf {
     /// The degenerate single-checkpoint configuration: one batch at the
     /// sampler's full fraction, no early stopping.  This is what
     /// [`SampleCf::estimate`](crate::estimator::SampleCf::estimate)
-    /// delegates to for streaming sampler kinds.
+    /// delegates to.
     #[must_use]
     pub fn one_checkpoint(sampler: SamplerKind) -> Self {
         ProgressiveCf::new(
@@ -316,9 +316,11 @@ impl ProgressiveCf {
 
     /// Run the progressive estimation loop over `source`.
     ///
-    /// Requires a streaming sampler kind (uniform-with-replacement, block,
-    /// reservoir or stratified); other kinds return an error, since they
-    /// have no prefix-stable incremental draw.
+    /// Every sampler kind runs here.  The scan samplers read the whole
+    /// table on the first batch; Bernoulli and systematic draws arrive as
+    /// one batch (a scan-order prefix is not a uniform sub-sample), so
+    /// they take a single checkpoint at the cap, with no variance
+    /// estimate and no early stop.
     ///
     /// For a stratified sampler the checkpoint machinery changes in three
     /// ways: the CF estimate is the weighted per-stratum combination
@@ -882,12 +884,27 @@ mod tests {
     }
 
     #[test]
-    fn non_streaming_kinds_and_bad_configs_are_rejected() {
-        let t = spread_table(1_000);
-        let err = ProgressiveCf::new(SamplerKind::Bernoulli(0.1), ProgressiveConfig::default())
-            .run(&t, &spec(), &NullSuppression)
-            .unwrap_err();
-        assert!(err.to_string().contains("streaming"), "{err}");
+    fn scan_kinds_take_one_checkpoint_and_bad_configs_are_rejected() {
+        let t = spread_table(4_000);
+        for kind in [SamplerKind::Bernoulli(0.1), SamplerKind::Systematic(0.1)] {
+            let report = ProgressiveCf::new(kind, ProgressiveConfig::default())
+                .seed(3)
+                .run(&t, &spec(), &NullSuppression)
+                .unwrap();
+            let oneshot = SampleCf::new(kind)
+                .seed(3)
+                .estimate(&t, &spec(), &NullSuppression)
+                .unwrap();
+            assert_eq!(report.checkpoints.len(), 1, "{kind:?}");
+            let only = &report.checkpoints[0];
+            assert_eq!(only.rows, oneshot.data.rows, "the whole draw at once");
+            assert!(only.std_error.is_none(), "one batch has no variance info");
+            assert!(!report.stopped_early);
+            assert!(!report.target_met);
+            assert_eq!(report.pages_read as usize, t.num_pages(), "one full scan");
+            assert_eq!(report.measurement.cf, oneshot.cf);
+            assert_eq!(report.measurement.data, oneshot.data);
+        }
         for bad in [
             ProgressiveConfig {
                 confidence: 0.0,

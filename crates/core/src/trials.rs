@@ -10,8 +10,6 @@
 use crate::error::{CoreError, CoreResult};
 use crate::estimator::{CfMeasurement, ExactCf, SampleCf};
 use crate::metrics::{ratio_error, SummaryStats};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use samplecf_compression::CompressionScheme;
 use samplecf_index::IndexSpec;
 use samplecf_sampling::SamplerKind;
@@ -185,15 +183,12 @@ impl TrialRunner {
         scheme: &dyn CompressionScheme,
         sampler: SamplerKind,
     ) -> CoreResult<Vec<f64>> {
-        let estimator = SampleCf::new(sampler);
         let base_seed = self.config.base_seed;
         crate::parallel::parallel_indexed_map(self.config.trials, self.config.threads, |trial| {
             let seed = base_seed.wrapping_add(trial as u64);
-            let mut rng = StdRng::seed_from_u64(seed);
-            sampler
-                .build()
-                .map_err(CoreError::from)
-                .and_then(|s| estimator.estimate_with(source, spec, scheme, s.as_ref(), &mut rng))
+            SampleCf::new(sampler)
+                .seed(seed)
+                .estimate(source, spec, scheme)
                 .map(|m| m.cf)
         })
         .into_iter()

@@ -699,14 +699,11 @@ fn sliced_stream_batches_equal_the_decoded_batches() {
     let codec = t.codec();
     let mut missing = Vec::new();
     for (name, full, shallow) in stream_kinds() {
-        // The decoding oracle: the one-shot row sampler of the same kind.
-        let oracle = full
-            .build()
+        // The decoding oracle: the one-shot draw of the same kind,
+        // materialized and decoded back to rows.
+        let oracle = MaterializedSample::draw(&t, full, 97)
             .unwrap()
-            .sample(
-                &t,
-                &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(97),
-            )
+            .rows()
             .unwrap();
         let mut oracle_sorted: Vec<(Rid, Vec<u8>)> = oracle
             .iter()
@@ -821,4 +818,214 @@ fn exact_cf_equals_the_decoded_full_scan() {
     }
     drop(disk);
     let _ = std::fs::remove_file(&path);
+}
+
+// ---------------------------------------------------------------------------
+// Uniform-wor, Bernoulli and systematic draws, and the trial runner
+// ---------------------------------------------------------------------------
+
+/// The kinds whose draws were first pinned against the decoded-row
+/// samplers: uniform without replacement and the two scan samplers.
+fn row_path_kinds() -> [(&'static str, SamplerKind); 3] {
+    [
+        ("uniform-wor", SamplerKind::UniformWithoutReplacement(0.15)),
+        ("bernoulli", SamplerKind::Bernoulli(0.15)),
+        ("systematic", SamplerKind::Systematic(0.15)),
+    ]
+}
+
+/// Every sampler kind, for the trial-runner digests.
+fn all_kinds() -> [(&'static str, SamplerKind); 7] {
+    [
+        ("uniform", SamplerKind::UniformWithReplacement(0.15)),
+        ("uniform-wor", SamplerKind::UniformWithoutReplacement(0.15)),
+        ("bernoulli", SamplerKind::Bernoulli(0.15)),
+        ("systematic", SamplerKind::Systematic(0.15)),
+        ("reservoir", SamplerKind::Reservoir(150)),
+        ("block", SamplerKind::Block(0.2)),
+        (
+            "stratified",
+            SamplerKind::Stratified {
+                fraction: 0.15,
+                strata: 4,
+                alloc: Allocation::Proportional,
+                mode: StrataMode::EquiWidth,
+            },
+        ),
+    ]
+}
+
+/// Digest of one materialized draw: every `(rid, record)` pair — in scan
+/// order for the scan samplers, as a rid-sorted multiset for uniform-wor,
+/// whose batch order is free — plus the pages read, except for uniform-wor.
+/// Also returns the drawn rids and the pages read.
+fn digest_draw(source: &dyn TableSource, name: &str, kind: SamplerKind) -> (u64, Vec<Rid>, u64) {
+    let counting = samplecf_sampling::CountingSource::new(source);
+    let sample = MaterializedSample::draw(&counting, kind, 97).unwrap();
+    let pages = counting.pages_read();
+    let mut records: Vec<(Rid, Vec<u8>)> = sample
+        .records()
+        .unwrap()
+        .into_iter()
+        .map(|(rid, rec)| (rid, rec.to_vec()))
+        .collect();
+    let unordered = name == "uniform-wor";
+    if unordered {
+        records.sort();
+    }
+    let mut h = Fnv::new();
+    h.u64(records.len() as u64);
+    for (rid, bytes) in &records {
+        h.u64(u64::from(rid.page));
+        h.u64(u64::from(rid.slot));
+        h.u64(bytes.len() as u64);
+        h.bytes(bytes);
+    }
+    if !unordered {
+        h.u64(pages);
+    }
+    (
+        h.0,
+        records.into_iter().map(|(rid, _)| rid).collect(),
+        pages,
+    )
+}
+
+/// Digest of `SampleCf::estimate` under all six schemes and two specs:
+/// CF bits and DataStats.
+fn digest_estimates(source: &dyn TableSource, kind: SamplerKind) -> u64 {
+    let mut h = Fnv::new();
+    for spec in [
+        IndexSpec::nonclustered("idx", ["a"]).unwrap(),
+        IndexSpec::clustered("pk", ["b", "a"]).unwrap(),
+    ] {
+        for name in scheme_names() {
+            let scheme = scheme_by_name(name).unwrap();
+            let m = samplecf_core::SampleCf::new(kind)
+                .seed(97)
+                .estimate(source, &spec, scheme.as_ref())
+                .unwrap();
+            h.u64(m.cf.to_bits());
+            h.u64(m.cf_with_pointers.to_bits());
+            h.u64(m.cf_pages.to_bits());
+            h.u64(m.data.rows as u64);
+            h.u64(m.data.distinct_first_key as u64);
+            h.u64(m.data.sum_logical_len_first_key as u64);
+            h.u64(m.data.null_first_key as u64);
+        }
+    }
+    h.0
+}
+
+/// Digest of `TrialRunner::run_estimates` (three trials) under all six
+/// schemes: the estimate bits in trial order.
+fn digest_trials(source: &dyn TableSource, kind: SamplerKind) -> u64 {
+    use samplecf_core::{TrialConfig, TrialRunner};
+    let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
+    let runner = TrialRunner::new(TrialConfig::new(3).base_seed(11).threads(1));
+    let mut h = Fnv::new();
+    for name in scheme_names() {
+        let scheme = scheme_by_name(name).unwrap();
+        for cf in runner
+            .run_estimates(source, &spec, scheme.as_ref(), kind)
+            .unwrap()
+        {
+            h.u64(cf.to_bits());
+        }
+    }
+    h.0
+}
+
+/// Digests captured from the decoded-row samplers (`sample` then
+/// `measure_rows`) before these kinds drew through streams: the sample's
+/// records, and the estimate's CF bits and DataStats under every scheme.
+/// The stream draws must reproduce them exactly; only uniform-wor's pages
+/// read changed (one read per distinct page instead of one per row), so
+/// they stay out of its draw digest.
+const GOLDEN_ROW_PATH: &[(&str, u64, u64)] = &[
+    ("uniform-wor", 0x7db9_e19a_7957_8f35, 0x4c9b_8d54_4ee3_b698),
+    ("bernoulli", 0x3c12_61d1_72a3_042a, 0x9acf_0b27_b689_c664),
+    ("systematic", 0x8f48_e3fc_4ccb_4148, 0x347b_3b12_4f6c_7967),
+];
+
+/// Trial-runner digests for every kind, captured from the same path.
+///
+/// Stratified is the one deliberate change.  The row path measured a
+/// stratified sample as if it were uniform (the pooled CF, digest
+/// `0xee8c_b4ec_1c4d_f99d`), while `SampleCf::estimate` returns the
+/// weighted per-stratum combination; trials now run `SampleCf::estimate`,
+/// so every trial equals the one-shot estimate with its seed (asserted
+/// below).
+const GOLDEN_TRIALS: &[(&str, u64)] = &[
+    ("uniform", 0xc223_8e2a_6190_2b16),
+    ("uniform-wor", 0x248e_f28b_bf74_58a7),
+    ("bernoulli", 0x7520_0859_ada9_b369),
+    ("systematic", 0xe05c_0765_4819_1d5e),
+    ("reservoir", 0xec1d_ad5f_ef42_92f4),
+    ("block", 0x2c1b_6b92_b1e5_618f),
+    ("stratified", 0x3a69_98fa_8766_7a49),
+];
+
+#[test]
+fn row_path_kinds_keep_their_draws_and_estimates() {
+    let t = mixed_table(2_500, 1024);
+    let path = std::env::temp_dir().join(format!(
+        "samplecf_differential_row_path_{}.scf",
+        std::process::id()
+    ));
+    let disk = DiskTable::materialize(&path, &t).unwrap();
+    let mut missing = Vec::new();
+    for (name, kind) in row_path_kinds() {
+        let mut digests = Vec::new();
+        for source in [&t as &dyn TableSource, &disk] {
+            let (draw, rids, pages) = digest_draw(source, name, kind);
+            if name == "uniform-wor" {
+                // One read per distinct page, not one per drawn row.
+                let distinct: std::collections::HashSet<_> = rids.iter().map(|r| r.page).collect();
+                assert_eq!(pages, distinct.len() as u64, "{name}: pages read");
+            }
+            digests.push((draw, digest_estimates(source, kind)));
+        }
+        assert_eq!(digests[0], digests[1], "{name}: disk == memory");
+        match GOLDEN_ROW_PATH.iter().find(|(n, _, _)| *n == name) {
+            Some(&(_, draw, estimates)) => {
+                assert_eq!(digests[0].0, draw, "{name}: draw digest");
+                assert_eq!(digests[0].1, estimates, "{name}: estimate digest");
+            }
+            None => missing.push(format!(
+                "    (\"{name}\", {:#018x}, {:#018x}),",
+                digests[0].0, digests[0].1
+            )),
+        }
+    }
+    for (name, kind) in all_kinds() {
+        // Each trial is `SampleCf::estimate` at its own seed.
+        let spec = IndexSpec::nonclustered("idx", ["a"]).unwrap();
+        let scheme = scheme_by_name("null-suppression").unwrap();
+        let trials = samplecf_core::TrialRunner::new(
+            samplecf_core::TrialConfig::new(3).base_seed(11).threads(1),
+        )
+        .run_estimates(&t, &spec, scheme.as_ref(), kind)
+        .unwrap();
+        for (i, cf) in trials.into_iter().enumerate() {
+            let oneshot = samplecf_core::SampleCf::new(kind)
+                .seed(11 + i as u64)
+                .estimate(&t, &spec, scheme.as_ref())
+                .unwrap();
+            assert_eq!(cf.to_bits(), oneshot.cf.to_bits(), "{name}: trial {i}");
+        }
+        let memory = digest_trials(&t, kind);
+        assert_eq!(memory, digest_trials(&disk, kind), "{name}: disk == memory");
+        match GOLDEN_TRIALS.iter().find(|(n, _)| *n == name) {
+            Some(&(_, trials)) => assert_eq!(memory, trials, "{name}: trial digest"),
+            None => missing.push(format!("    (\"{name}\", {memory:#018x}),")),
+        }
+    }
+    drop(disk);
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        missing.is_empty(),
+        "no golden digest for:\n{}",
+        missing.join("\n")
+    );
 }

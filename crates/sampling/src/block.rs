@@ -6,108 +6,135 @@
 //! terms but correlates the sampled rows with their physical placement, which
 //! the paper flags as future work for the accuracy analysis.
 //!
-//! Because the sampler draws through [`TableSource`], the I/O claim is
-//! literal for disk-backed tables: `sample` issues exactly one
-//! [`read_page`](TableSource::read_page) per selected page and touches
-//! nothing else in the file.  The `exp_disk_block_io` experiment and the
-//! `samplecf estimate --sampler block` CLI path measure this directly.
+//! Because the stream draws through [`TableSource`], the I/O claim is
+//! literal for disk-resident tables: a draw issues exactly one page read
+//! per selected page and touches nothing else in the file.  The
+//! `exp_disk_block_io` experiment and the `samplecf estimate --sampler
+//! block` CLI path measure this directly.
 
 use crate::error::SamplingResult;
-use crate::sampler::{target_page_count, target_size, validate_fraction, RowSampler, SampledRow};
-use rand::seq::index;
+use crate::kind::SamplerKind;
+use crate::record::RecordBatch;
+use crate::sampler::{target_page_count, validate_fraction};
+use crate::stream::{BatchSchedule, IncrementalFisherYates, SampleStream};
 use rand::RngCore;
 use samplecf_storage::{PageId, TableSource};
 
-/// Page-level sampler: selects `max(1, round(fraction · num_pages))` pages
-/// without replacement and returns every row stored on them.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockSampler {
+/// Streaming block (page) sampler: pages come out of an
+/// [`IncrementalFisherYates`] permutation, so the page set after `k` draws
+/// equals a one-shot selection of `k` pages with the same seed.  Each batch
+/// reads its new pages in ascending page order and slices every record off
+/// them.
+pub struct BlockStream {
     fraction: f64,
+    schedule: BatchSchedule,
+    /// Bound on first use: (shuffle over pages, cumulative page targets).
+    state: Option<(IncrementalFisherYates, Vec<usize>)>,
+    next_target: usize,
+    rows_drawn: usize,
 }
 
-impl BlockSampler {
-    /// Create a block sampler with the given page fraction.
-    pub fn new(fraction: f64) -> SamplingResult<Self> {
-        Ok(BlockSampler {
+impl BlockStream {
+    /// Create a stream selecting up to `round(fraction · num_pages)` pages.
+    pub fn new(fraction: f64, schedule: BatchSchedule) -> SamplingResult<Self> {
+        Ok(BlockStream {
             fraction: validate_fraction(fraction)?,
+            schedule,
+            state: None,
+            next_target: 0,
+            rows_drawn: 0,
         })
     }
 
-    /// The page sampling fraction.
+    /// Pages selected so far.
     #[must_use]
-    pub fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
-    /// Select which pages to read (exposed for tests and diagnostics).
-    ///
-    /// Uses only [`TableSource::num_pages`] — no page is touched until the
-    /// sample is actually drawn.
-    pub fn sample_page_ids(&self, source: &dyn TableSource, rng: &mut dyn RngCore) -> Vec<PageId> {
-        let num_pages = source.num_pages();
-        let count = target_page_count(num_pages, self.fraction);
-        if count == 0 {
-            return Vec::new();
-        }
-        let mut ids: Vec<PageId> = index::sample(rng, num_pages, count)
-            .into_iter()
-            .map(|i| i as PageId)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Number of pages a sample from a source with `num_pages` pages reads.
-    #[must_use]
-    pub fn expected_pages_read(&self, num_pages: usize) -> usize {
-        target_page_count(num_pages, self.fraction)
+    pub fn pages_selected(&self) -> usize {
+        self.state.as_ref().map_or(0, |(fy, _)| fy.drawn())
     }
 }
 
-impl RowSampler for BlockSampler {
-    fn name(&self) -> &'static str {
-        "block"
+impl SampleStream for BlockStream {
+    fn kind(&self) -> SamplerKind {
+        SamplerKind::Block(self.fraction)
     }
 
-    fn sample(
-        &self,
+    fn next_batch(
+        &mut self,
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        let pages = self.sample_page_ids(source, rng);
-        let mut out = Vec::new();
-        for pid in pages {
-            out.extend(source.page_rows(pid)?);
+    ) -> SamplingResult<RecordBatch> {
+        if self.state.is_none() {
+            let num_pages = source.num_pages();
+            let max_pages = target_page_count(num_pages, self.fraction);
+            let targets = self.schedule.cumulative_targets(num_pages, max_pages);
+            self.state = Some((IncrementalFisherYates::new(num_pages), targets));
         }
-        Ok(out)
+        let (fy, targets) = self.state.as_mut().expect("state bound above");
+        let Some(&target) = targets.get(self.next_target) else {
+            return Ok(RecordBatch::new());
+        };
+        let mut page_ids: Vec<PageId> = Vec::with_capacity(target - fy.drawn());
+        while fy.drawn() < target {
+            let p = fy.next(rng).expect("targets never exceed the page count");
+            page_ids.push(p as PageId);
+        }
+        page_ids.sort_unstable();
+        let mut batch = RecordBatch::new();
+        for pid in page_ids {
+            batch.push_page(source.read_page_ref(pid)?.as_page())?;
+        }
+        self.rows_drawn += batch.len();
+        self.next_target += 1;
+        Ok(batch)
     }
 
-    fn expected_sample_size(&self, n: usize) -> usize {
-        target_size(n, self.fraction)
+    fn rows_drawn(&self) -> usize {
+        self.rows_drawn
+    }
+
+    fn exhausted(&self) -> bool {
+        self.state
+            .as_ref()
+            .is_some_and(|(_, targets)| self.next_target >= targets.len())
+    }
+
+    fn extend_cap(&mut self, kind: SamplerKind) -> bool {
+        let SamplerKind::Block(f) = kind else {
+            return false;
+        };
+        if f < self.fraction || validate_fraction(f).is_err() {
+            return false;
+        }
+        self.fraction = f;
+        if let Some((fy, targets)) = self.state.as_mut() {
+            let max_pages = target_page_count(fy.length, f);
+            targets.truncate(self.next_target);
+            if max_pages > fy.drawn() {
+                targets.push(max_pages);
+            }
+        }
+        true
+    }
+
+    fn approx_retained_bytes(&self) -> usize {
+        // Only the displaced-slot map of the partial shuffle.
+        self.state.as_ref().map_or(0, |(fy, _)| fy.approx_bytes())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{decoded, drain, one_shot, table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use samplecf_storage::{Row, Schema, Table, TableBuilder, Value};
+    use samplecf_storage::{CountingSource, Row, Schema, Table, TableBuilder, Value};
     use std::collections::HashSet;
-
-    fn table(n: usize) -> Table {
-        TableBuilder::new("t", Schema::single_char("a", 32))
-            .page_size(512)
-            .build_with_rows((0..n).map(|i| Row::new(vec![Value::str(format!("v{i:06}"))])))
-            .unwrap()
-    }
 
     #[test]
     fn sample_contains_whole_pages() {
         let t = table(2000);
-        let s = BlockSampler::new(0.1).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let sample = s.sample(&t, &mut rng).unwrap();
+        let sample = one_shot(&t, SamplerKind::Block(0.1), 1);
         assert!(!sample.is_empty());
         // Every sampled page contributes all of its rows.
         let pages: HashSet<_> = sample.iter().map(|(rid, _)| rid.page).collect();
@@ -121,25 +148,34 @@ mod tests {
     #[test]
     fn page_count_tracks_fraction() {
         let t = table(5000);
-        let s = BlockSampler::new(0.2).unwrap();
-        let ids = s.sample_page_ids(&t, &mut StdRng::seed_from_u64(2));
+        let mut stream = BlockStream::new(0.2, BatchSchedule::one_shot()).unwrap();
+        let sample = decoded(&drain(&mut stream, &t, &mut StdRng::seed_from_u64(2)), &t);
         let expected = (t.num_pages() as f64 * 0.2).round() as usize;
-        assert_eq!(ids.len(), expected);
-        assert_eq!(s.expected_pages_read(t.num_pages()), expected);
+        assert_eq!(stream.pages_selected(), expected);
         // Distinct and within range.
-        let distinct: HashSet<_> = ids.iter().collect();
-        assert_eq!(distinct.len(), ids.len());
-        assert!(ids.iter().all(|&p| (p as usize) < t.num_pages()));
+        let pages: HashSet<_> = sample.iter().map(|(rid, _)| rid.page).collect();
+        assert_eq!(pages.len(), expected);
+        assert!(pages.iter().all(|&p| (p as usize) < t.num_pages()));
     }
 
     #[test]
     fn expected_sample_size_matches_the_shared_target() {
-        let s = BlockSampler::new(0.01).unwrap();
-        assert_eq!(s.expected_sample_size(100_000), 1000);
-        // Unified edge behaviour with the row samplers: empty → 0, tiny
-        // fraction on a non-empty table → at least 1.
-        assert_eq!(s.expected_sample_size(0), 0);
-        assert_eq!(s.expected_sample_size(10), 1);
+        // A block draw selects the shared page target: `round(f·pages)`,
+        // zero for an empty table, at least one page otherwise.
+        let t = table(5000);
+        for f in [0.0001, 0.01, 0.3, 1.0] {
+            let mut stream = BlockStream::new(f, BatchSchedule::default()).unwrap();
+            drain(&mut stream, &t, &mut StdRng::seed_from_u64(1));
+            assert_eq!(
+                stream.pages_selected(),
+                target_page_count(t.num_pages(), f),
+                "f {f}"
+            );
+        }
+        let empty = table(0);
+        let mut stream = BlockStream::new(0.01, BatchSchedule::default()).unwrap();
+        drain(&mut stream, &empty, &mut StdRng::seed_from_u64(1));
+        assert_eq!(stream.pages_selected(), 0);
     }
 
     #[test]
@@ -147,35 +183,32 @@ mod tests {
         let t = TableBuilder::new("t", Schema::single_char("a", 8))
             .build()
             .unwrap();
-        let s = BlockSampler::new(0.5).unwrap();
+        let counting = CountingSource::new(&t);
+        let mut stream = BlockStream::new(0.5, BatchSchedule::one_shot()).unwrap();
         // Regression: with zero pages the old `max(1, …)` sizing would have
         // requested one page from an empty frame.
-        assert!(s
-            .sample_page_ids(&t, &mut StdRng::seed_from_u64(3))
-            .is_empty());
-        assert_eq!(s.expected_pages_read(0), 0);
-        assert!(s
-            .sample(&t, &mut StdRng::seed_from_u64(3))
-            .unwrap()
-            .is_empty());
+        assert!(drain(&mut stream, &counting, &mut StdRng::seed_from_u64(3)).is_empty());
+        assert_eq!(stream.pages_selected(), 0);
+        assert_eq!(counting.pages_read(), 0);
     }
 
     #[test]
     fn full_fraction_selects_every_page() {
         let t = table(900);
-        let s = BlockSampler::new(1.0).unwrap();
-        let ids = s.sample_page_ids(&t, &mut StdRng::seed_from_u64(9));
-        assert_eq!(ids.len(), t.num_pages());
-        let sample = s.sample(&t, &mut StdRng::seed_from_u64(9)).unwrap();
+        let mut stream = BlockStream::new(1.0, BatchSchedule::one_shot()).unwrap();
+        let sample = decoded(&drain(&mut stream, &t, &mut StdRng::seed_from_u64(9)), &t);
+        assert_eq!(stream.pages_selected(), t.num_pages());
         assert_eq!(sample.len(), t.num_rows());
     }
 
     #[test]
     fn tiny_fraction_still_reads_one_page() {
         let t = table(500);
-        let s = BlockSampler::new(0.0001).unwrap();
-        let ids = s.sample_page_ids(&t, &mut StdRng::seed_from_u64(4));
-        assert_eq!(ids.len(), 1);
+        let counting = CountingSource::new(&t);
+        let mut stream = BlockStream::new(0.0001, BatchSchedule::one_shot()).unwrap();
+        drain(&mut stream, &counting, &mut StdRng::seed_from_u64(4));
+        assert_eq!(stream.pages_selected(), 1);
+        assert_eq!(counting.pages_read(), 1);
     }
 
     #[test]
@@ -189,20 +222,15 @@ mod tests {
             .page_size(512)
             .build_with_rows(rows)
             .unwrap();
-        let block = BlockSampler::new(0.05).unwrap();
-        let block_sample = block.sample(&t, &mut StdRng::seed_from_u64(5)).unwrap();
+        let block_sample = one_shot(&t, SamplerKind::Block(0.05), 5);
         let block_distinct: HashSet<_> = block_sample
             .iter()
             .map(|(_, r)| r.value(0).clone())
             .collect();
-
-        let row = crate::uniform::UniformWithoutReplacement::new(
-            block_sample.len() as f64 / t.num_rows() as f64,
-        )
-        .unwrap();
-        let row_sample = row.sample(&t, &mut StdRng::seed_from_u64(5)).unwrap();
+        let row_kind =
+            SamplerKind::UniformWithoutReplacement(block_sample.len() as f64 / t.num_rows() as f64);
+        let row_sample = one_shot(&t, row_kind, 5);
         let row_distinct: HashSet<_> = row_sample.iter().map(|(_, r)| r.value(0).clone()).collect();
-
         assert!(
             block_distinct.len() * 2 < row_distinct.len(),
             "block sample saw {} groups, row sample saw {}",

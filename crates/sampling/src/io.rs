@@ -6,17 +6,18 @@
 //! reads without a dependency on this crate.  It is re-exported here because
 //! the sampling crate is where the counter earns its keep: the tests below
 //! pin down the I/O cost of each sampling procedure (block sampling reads
-//! exactly the selected pages; row sampling pays one page read per drawn
-//! row), which is the paper's Section II-C argument made measurable.
+//! exactly the selected pages; row sampling pays one page read per distinct
+//! page its rows land on; scans read every page), which is the paper's
+//! Section II-C argument made measurable.
 
 pub use samplecf_storage::CountingSource;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockSampler;
-    use crate::sampler::RowSampler;
-    use crate::uniform::UniformWithReplacement;
+    use crate::kind::SamplerKind;
+    use crate::record::RecordBatch;
+    use crate::stream::{BatchSchedule, IncrementalFisherYates};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use samplecf_storage::{Row, Schema, Table, TableBuilder, TableSource, Value};
@@ -29,50 +30,94 @@ mod tests {
             .unwrap()
     }
 
+    /// A one-shot draw of `kind` through `source`.
+    fn draw(source: &dyn TableSource, kind: SamplerKind, seed: u64) -> RecordBatch {
+        let mut stream = kind.stream(BatchSchedule::one_shot()).unwrap();
+        stream
+            .next_batch(source, &mut StdRng::seed_from_u64(seed))
+            .unwrap()
+    }
+
     #[test]
     fn block_sampling_reads_exactly_the_selected_pages() {
         let t = table(3000);
         let counting = CountingSource::new(&t);
-        let s = BlockSampler::new(0.1).unwrap();
-        let ids = s.sample_page_ids(&counting, &mut StdRng::seed_from_u64(1));
+        // The page selection is the first `k` elements of a shuffle over
+        // the page ids: it needs only the page count.
+        let count = crate::sampler::target_page_count(counting.num_pages(), 0.1);
+        let mut shuffle = IncrementalFisherYates::new(counting.num_pages());
+        let mut rng = StdRng::seed_from_u64(1);
+        let ids: HashSet<usize> = (0..count)
+            .map(|_| shuffle.next(&mut rng).unwrap())
+            .collect();
         assert_eq!(counting.pages_read(), 0, "selection itself reads nothing");
-        let sample = s.sample(&counting, &mut StdRng::seed_from_u64(1)).unwrap();
+        let sample = draw(&counting, SamplerKind::Block(0.1), 1);
         assert!(!sample.is_empty());
         assert_eq!(counting.pages_read(), ids.len() as u64);
+        assert!(sample
+            .iter()
+            .all(|(rid, _)| ids.contains(&(rid.page as usize))));
     }
 
     #[test]
     fn uniform_sampling_pays_one_page_per_distinct_page_touched() {
         let t = table(3000);
-        let counting = CountingSource::new(&t);
-        let s = UniformWithReplacement::new(0.05).unwrap();
-        let sample = s.sample(&counting, &mut StdRng::seed_from_u64(2)).unwrap();
-        // Fetches are page-coalesced: one physical read per *distinct* page
-        // the drawn rids land on, not one per drawn row.  Duplicate draws
-        // and same-page neighbours share a read.
-        let distinct_pages: HashSet<_> = sample.iter().map(|(rid, _)| rid.page).collect();
-        assert_eq!(counting.pages_read(), distinct_pages.len() as u64);
-        assert!(
-            counting.pages_read() < sample.len() as u64,
-            "coalescing must beat the old one-read-per-row cost ({} pages for {} rows)",
-            counting.pages_read(),
-            sample.len()
-        );
-        // Scattered row sampling still touches far more pages than a block
-        // sample of the same row count would (the paper's Section II-C gap).
-        assert!(distinct_pages.len() > t.num_pages() / 20);
+        for kind in [
+            SamplerKind::UniformWithReplacement(0.05),
+            SamplerKind::UniformWithoutReplacement(0.05),
+        ] {
+            let counting = CountingSource::new(&t);
+            let sample = draw(&counting, kind, 2);
+            // Fetches are page-coalesced: one physical read per *distinct*
+            // page the drawn rids land on, not one per drawn row.  Duplicate
+            // draws and same-page neighbours share a read.
+            let distinct_pages: HashSet<_> = sample.iter().map(|(rid, _)| rid.page).collect();
+            assert_eq!(
+                counting.pages_read(),
+                distinct_pages.len() as u64,
+                "{kind:?}"
+            );
+            assert!(
+                counting.pages_read() < sample.len() as u64,
+                "coalescing must beat one read per row ({} pages for {} rows)",
+                counting.pages_read(),
+                sample.len()
+            );
+            // Scattered row sampling still touches far more pages than a
+            // block sample of the same row count would (the paper's
+            // Section II-C gap).
+            assert!(distinct_pages.len() > t.num_pages() / 20);
+        }
     }
 
     #[test]
     fn uniform_sampling_at_full_fraction_reads_each_page_once() {
-        // The extreme case of coalescing: a 100% with-replacement draw
-        // touches every page, and each page is read exactly once.
+        // The extreme case of coalescing: a 100% draw touches every page,
+        // and each page is read exactly once.
         let t = table(800);
-        let counting = CountingSource::new(&t);
-        let s = UniformWithReplacement::new(1.0).unwrap();
-        let sample = s.sample(&counting, &mut StdRng::seed_from_u64(4)).unwrap();
-        assert_eq!(sample.len(), 800);
-        assert!(counting.pages_read() <= t.num_pages() as u64);
+        for kind in [
+            SamplerKind::UniformWithReplacement(1.0),
+            SamplerKind::UniformWithoutReplacement(1.0),
+        ] {
+            let counting = CountingSource::new(&t);
+            let sample = draw(&counting, kind, 4);
+            assert_eq!(sample.len(), 800);
+            assert!(counting.pages_read() <= t.num_pages() as u64);
+        }
+    }
+
+    #[test]
+    fn scan_sampling_reads_every_page_once() {
+        let t = table(3000);
+        for kind in [
+            SamplerKind::Bernoulli(0.05),
+            SamplerKind::Systematic(0.05),
+            SamplerKind::Reservoir(40),
+        ] {
+            let counting = CountingSource::new(&t);
+            draw(&counting, kind, 6);
+            assert_eq!(counting.pages_read(), t.num_pages() as u64, "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,14 +1,5 @@
 //! Configuration-friendly sampler selection.
 
-use crate::block::BlockSampler;
-use crate::error::SamplingResult;
-use crate::reservoir::ReservoirSampler;
-use crate::sampler::RowSampler;
-use crate::stratified::StratifiedSampler;
-use crate::uniform::{
-    BernoulliSampler, SystematicSampler, UniformWithReplacement, UniformWithoutReplacement,
-};
-
 /// How a stratified sampler splits its row budget across strata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Allocation {
@@ -115,26 +106,6 @@ pub enum SamplerKind {
 }
 
 impl SamplerKind {
-    /// Instantiate the sampler this kind describes.
-    pub fn build(&self) -> SamplingResult<Box<dyn RowSampler>> {
-        Ok(match *self {
-            SamplerKind::UniformWithReplacement(f) => Box::new(UniformWithReplacement::new(f)?),
-            SamplerKind::UniformWithoutReplacement(f) => {
-                Box::new(UniformWithoutReplacement::new(f)?)
-            }
-            SamplerKind::Bernoulli(f) => Box::new(BernoulliSampler::new(f)?),
-            SamplerKind::Systematic(f) => Box::new(SystematicSampler::new(f)?),
-            SamplerKind::Reservoir(size) => Box::new(ReservoirSampler::new(size)?),
-            SamplerKind::Block(f) => Box::new(BlockSampler::new(f)?),
-            SamplerKind::Stratified {
-                fraction,
-                strata,
-                alloc,
-                mode,
-            } => Box::new(StratifiedSampler::new(fraction, strata, alloc, mode)?),
-        })
-    }
-
     /// A short label for reports.
     #[must_use]
     pub fn label(&self) -> String {
@@ -172,18 +143,13 @@ impl SamplerKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::BatchSchedule;
 
     #[test]
     fn every_kind_builds_its_sampler() {
         let cases = [
-            (
-                SamplerKind::UniformWithReplacement(0.1),
-                "uniform-with-replacement",
-            ),
-            (
-                SamplerKind::UniformWithoutReplacement(0.1),
-                "uniform-without-replacement",
-            ),
+            (SamplerKind::UniformWithReplacement(0.1), "uniform-wr"),
+            (SamplerKind::UniformWithoutReplacement(0.1), "uniform-wor"),
             (SamplerKind::Bernoulli(0.1), "bernoulli"),
             (SamplerKind::Systematic(0.1), "systematic"),
             (SamplerKind::Reservoir(10), "reservoir"),
@@ -199,31 +165,32 @@ mod tests {
             ),
         ];
         for (kind, expected) in cases {
-            assert_eq!(kind.build().unwrap().name(), expected);
+            let stream = kind.stream(BatchSchedule::one_shot()).unwrap();
+            assert_eq!(stream.kind(), kind);
+            assert_eq!(kind.family(), expected);
             assert!(!kind.label().is_empty());
         }
     }
 
     #[test]
     fn invalid_parameters_propagate() {
-        assert!(SamplerKind::UniformWithReplacement(0.0).build().is_err());
-        assert!(SamplerKind::Reservoir(0).build().is_err());
-        assert!(SamplerKind::Block(1.5).build().is_err());
-        assert!(SamplerKind::Stratified {
+        let stream = |kind: SamplerKind| kind.stream(BatchSchedule::one_shot());
+        assert!(stream(SamplerKind::UniformWithReplacement(0.0)).is_err());
+        assert!(stream(SamplerKind::Reservoir(0)).is_err());
+        assert!(stream(SamplerKind::Block(1.5)).is_err());
+        assert!(stream(SamplerKind::Stratified {
             fraction: 0.0,
             strata: 4,
             alloc: Allocation::Neyman,
             mode: StrataMode::EquiWidth,
-        }
-        .build()
+        })
         .is_err());
-        assert!(SamplerKind::Stratified {
+        assert!(stream(SamplerKind::Stratified {
             fraction: 0.1,
             strata: 0,
             alloc: Allocation::Neyman,
             mode: StrataMode::EquiWidth,
-        }
-        .build()
+        })
         .is_err());
     }
 

@@ -13,7 +13,7 @@
 //! estimates that are byte-identical to re-running the sampler with the same
 //! seed.  The sample therefore remembers the RID each row came from, and
 //! [`rows`](MaterializedSample::rows) reconstructs the exact `(Rid, Row)`
-//! sequence the sampler produced — same rows, same order, same duplicates.
+//! sequence the stream produced — same rows, same order, same duplicates.
 
 use crate::error::SamplingResult;
 use crate::kind::SamplerKind;
@@ -53,28 +53,16 @@ impl MaterializedSample {
     /// this call; wrap `source` in a
     /// [`CountingSource`](samplecf_storage::CountingSource) to measure it.
     ///
-    /// Kinds with a [`SampleStream`] drain it under the single-batch
-    /// schedule — the same draw, in the same order, as the kind's row
-    /// sampler — and copy the sliced records in without decoding them.
-    /// The other kinds draw rows through their [`RowSampler`](crate::RowSampler)
-    /// and encode them.
+    /// The draw drains the kind's [`SampleStream`] under the single-batch
+    /// schedule and copies the sliced records in without decoding them.
     pub fn draw(
         source: &dyn TableSource,
         kind: SamplerKind,
         seed: u64,
     ) -> SamplingResult<MaterializedSample> {
+        let mut stream = kind.stream(BatchSchedule::one_shot())?;
         let mut rng = StdRng::seed_from_u64(seed);
-        if kind.supports_streaming() {
-            let mut stream = kind.stream(BatchSchedule::one_shot())?;
-            return Self::from_stream(source, stream.as_mut(), &mut rng, seed);
-        }
-        let sampled = kind.build()?.sample(source, &mut rng)?;
-        let mut sample = Self::empty(source, kind, seed)?;
-        for (rid, row) in &sampled {
-            sample.table.insert(row)?;
-            sample.source_rids.push(*rid);
-        }
-        Ok(sample)
+        Self::from_stream(source, stream.as_mut(), &mut rng, seed)
     }
 
     /// Materialize an empty sample shell for `source`, ready to be filled
@@ -281,10 +269,11 @@ mod tests {
             SamplerKind::Reservoir(97),
             SamplerKind::Block(0.05),
         ] {
-            let direct = kind
-                .build()
+            let mut stream = kind.stream(BatchSchedule::one_shot()).unwrap();
+            let direct = stream
+                .next_batch(&t, &mut StdRng::seed_from_u64(42))
                 .unwrap()
-                .sample(&t, &mut StdRng::seed_from_u64(42))
+                .decode(t.codec())
                 .unwrap();
             let sample = MaterializedSample::draw(&t, kind, 42).unwrap();
             assert_eq!(sample.rows().unwrap(), direct, "{kind:?}");
@@ -343,6 +332,9 @@ mod tests {
         let t = table(2_000);
         for kind in [
             SamplerKind::UniformWithReplacement(0.08),
+            SamplerKind::UniformWithoutReplacement(0.08),
+            SamplerKind::Bernoulli(0.08),
+            SamplerKind::Systematic(0.08),
             SamplerKind::Block(0.1),
             SamplerKind::Reservoir(130),
         ] {
@@ -456,6 +448,8 @@ mod tests {
             SamplerKind::Block(0.5),
             SamplerKind::UniformWithReplacement(0.5),
             SamplerKind::UniformWithoutReplacement(0.5),
+            SamplerKind::Bernoulli(0.5),
+            SamplerKind::Systematic(0.5),
             SamplerKind::Reservoir(4),
             SamplerKind::Stratified {
                 fraction: 0.5,

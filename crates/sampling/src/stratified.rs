@@ -27,15 +27,15 @@
 //!
 //! **Degenerate single-stratum case:** with one stratum there is nothing to
 //! allocate, so the stream draws positions directly from the shared RNG —
-//! exactly the call sequence of
-//! [`UniformWrStream`](crate::UniformWrStream) — making `stratified(k=1)`
+//! exactly the call sequence of a with-replacement
+//! [`UniformStream`](crate::UniformStream) — making `stratified(k=1)`
 //! byte-identical to `uniform-wr` seed-for-seed (pinned by the proptest
 //! suite).
 
 use crate::error::SamplingResult;
 use crate::kind::{Allocation, SamplerKind, StrataMode};
 use crate::record::RecordBatch;
-use crate::sampler::{target_size, validate_fraction, RowSampler, SampledRow};
+use crate::sampler::{target_size, validate_fraction};
 use crate::strata::Strata;
 use crate::stream::{fetch_positions_coalesced, BatchSchedule, PageCache, SampleStream};
 use rand::rngs::StdRng;
@@ -187,7 +187,7 @@ impl StratifiedStream {
         // from the shared RNG in stratum order at bind time: one next_u64
         // each, so the derivation itself is part of the deterministic
         // prefix.  The single-stratum case derives nothing and consumes
-        // the shared RNG exactly like UniformWrStream.
+        // the shared RNG exactly like a with-replacement UniformStream.
         let rngs: Vec<StdRng> = if strata.len() > 1 {
             (0..strata.len())
                 .map(|_| StdRng::seed_from_u64(rng.next_u64()))
@@ -241,7 +241,7 @@ impl SampleStream for StratifiedStream {
             let span = range.len();
             let positions: Vec<usize> = if frame.rngs.is_empty() {
                 // Degenerate single stratum: the shared RNG, exactly like
-                // UniformWrStream.
+                // a with-replacement UniformStream.
                 (0..extra).map(|_| rng.gen_range(0..span)).collect()
             } else {
                 let stratum_rng = &mut frame.rngs[s];
@@ -332,73 +332,10 @@ impl SampleStream for StratifiedStream {
     }
 }
 
-/// One-shot stratified sampler: drains a [`StratifiedStream`] under the
-/// single-batch schedule, so [`RowSampler::sample`] and a one-shot stream
-/// drain are the same draw by construction.
-#[derive(Debug, Clone, Copy)]
-pub struct StratifiedSampler {
-    fraction: f64,
-    strata: usize,
-    alloc: Allocation,
-    mode: StrataMode,
-}
-
-impl StratifiedSampler {
-    /// Create a sampler drawing `round(fraction·n)` rows across `strata`
-    /// contiguous page-range strata, cut per `mode`.
-    pub fn new(
-        fraction: f64,
-        strata: usize,
-        alloc: Allocation,
-        mode: StrataMode,
-    ) -> SamplingResult<Self> {
-        // Validate eagerly, exactly like the stream.
-        let _ = StratifiedStream::new(fraction, strata, alloc, mode, BatchSchedule::one_shot())?;
-        Ok(StratifiedSampler {
-            fraction,
-            strata,
-            alloc,
-            mode,
-        })
-    }
-}
-
-impl RowSampler for StratifiedSampler {
-    fn name(&self) -> &'static str {
-        "stratified"
-    }
-
-    fn sample(
-        &self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<Vec<SampledRow>> {
-        let mut stream = StratifiedStream::new(
-            self.fraction,
-            self.strata,
-            self.alloc,
-            self.mode,
-            BatchSchedule::one_shot(),
-        )?;
-        let mut out = Vec::new();
-        loop {
-            let batch = stream.next_batch(source, rng)?;
-            if batch.is_empty() {
-                return Ok(out);
-            }
-            out.extend(batch.decode(source.codec())?);
-        }
-    }
-
-    fn expected_sample_size(&self, n: usize) -> usize {
-        target_size(n, self.fraction)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::uniform::UniformWithReplacement;
+    use crate::sampler::SampledRow;
     use samplecf_storage::{CountingSource, Row, Schema, Table, TableBuilder, Value};
 
     fn table(n: usize) -> Table {
@@ -428,6 +365,13 @@ mod tests {
         rows
     }
 
+    /// A one-shot draw of `kind`: its stream drained under the
+    /// single-batch schedule.
+    fn one_shot(t: &Table, kind: SamplerKind, seed: u64) -> Vec<SampledRow> {
+        let mut stream = kind.stream(BatchSchedule::one_shot()).unwrap();
+        drain(stream.as_mut(), t, &mut StdRng::seed_from_u64(seed))
+    }
+
     fn kind(f: f64, k: usize, alloc: Allocation) -> SamplerKind {
         SamplerKind::Stratified {
             fraction: f,
@@ -441,15 +385,8 @@ mod tests {
     fn single_stratum_is_byte_identical_to_uniform_wr() {
         let t = table(2_000);
         for seed in [0u64, 7, 99] {
-            let uniform = UniformWithReplacement::new(0.1)
-                .unwrap()
-                .sample(&t, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-            let stratified =
-                StratifiedSampler::new(0.1, 1, Allocation::Neyman, StrataMode::EquiWidth)
-                    .unwrap()
-                    .sample(&t, &mut StdRng::seed_from_u64(seed))
-                    .unwrap();
+            let uniform = one_shot(&t, SamplerKind::UniformWithReplacement(0.1), seed);
+            let stratified = one_shot(&t, kind(0.1, 1, Allocation::Neyman), seed);
             assert_eq!(stratified, uniform, "seed {seed}");
         }
     }
@@ -458,10 +395,7 @@ mod tests {
     fn stream_drains_to_the_one_shot_multiset() {
         let t = table(3_000);
         for alloc in [Allocation::Proportional, Allocation::Neyman] {
-            let oneshot = StratifiedSampler::new(0.08, 5, alloc, StrataMode::EquiWidth)
-                .unwrap()
-                .sample(&t, &mut StdRng::seed_from_u64(13))
-                .unwrap();
+            let oneshot = one_shot(&t, kind(0.08, 5, alloc), 13);
             let mut stream = kind(0.08, 5, alloc)
                 .stream(BatchSchedule::default())
                 .unwrap();
@@ -560,10 +494,7 @@ mod tests {
         assert!(stream.extend_cap(deep));
         assert_eq!(stream.kind(), deep);
         rows.extend(drain(stream.as_mut(), &t, &mut rng));
-        let fresh = StratifiedSampler::new(0.2, 3, Allocation::Proportional, StrataMode::EquiWidth)
-            .unwrap()
-            .sample(&t, &mut StdRng::seed_from_u64(17))
-            .unwrap();
+        let fresh = one_shot(&t, deep, 17);
         assert_eq!(
             sorted(rows),
             sorted(fresh),

@@ -1,31 +1,38 @@
 //! Streaming samplers: batch-extendable draws for progressive estimation.
 //!
-//! A one-shot [`RowSampler`](crate::RowSampler) answers "draw a
-//! sample of fraction `f`" — the caller must guess `f` up front.  A
-//! [`SampleStream`] inverts that: it yields the *same* draw in growing
-//! batches, so a consumer can measure after every batch and stop as soon as
-//! its accuracy target is met (the sequential-estimation workflow of
-//! Nirkhiwale et al.'s sampling algebra).  The contract that makes this
-//! lossless is **prefix stability**: stopping a stream after it has drawn
-//! `r` rows yields exactly the rows (and, for page-coalesced draws, exactly
-//! the physical page reads) of a one-shot draw of `r` rows with the same
-//! seed.  The estimator's fixed-fraction parity tests pin this bit-for-bit.
+//! Every [`SamplerKind`] draws through a [`SampleStream`].  A one-shot draw
+//! is a stream drained under [`BatchSchedule::one_shot`]; a progressive
+//! consumer drains the *same* draw in growing batches instead, measuring
+//! after every batch and stopping as soon as its accuracy target is met
+//! (the sequential-estimation workflow of Nirkhiwale et al.'s sampling
+//! algebra).  The contract that makes this lossless is **prefix
+//! stability**: stopping a stream after it has drawn `r` rows yields
+//! exactly the rows (and, for page-coalesced draws, exactly the physical
+//! page reads) of a one-shot draw of `r` rows with the same seed.  The
+//! estimator's fixed-fraction parity tests pin this bit-for-bit.
 //!
 //! Prefix stability holds per sampler for different reasons:
 //!
 //! * **Uniform with replacement** draws row positions one RNG call at a
 //!   time, so any prefix of the position sequence is itself a uniform draw.
-//!   Fetches are page-coalesced through a per-stream [page cache], so the
-//!   pages physically read are the distinct pages of the rows drawn so far —
-//!   independent of how the draw was split into batches.
+//!   **Uniform without replacement** takes its positions from an
+//!   [`IncrementalFisherYates`] shuffle over the rid frame, whose first `k`
+//!   elements are a uniform draw of `k` distinct rows.  Both
+//!   ([`UniformStream`]) slice their records page-coalesced out of a
+//!   per-stream [page cache], so the pages physically read are the
+//!   distinct pages of the rows drawn so far — independent of how the draw
+//!   was split into batches.
 //! * **Block sampling** selects pages by partial Fisher–Yates, which
 //!   consumes exactly one RNG call per selected page; the first `k` pages
 //!   of a longer selection equal a selection of `k` pages
 //!   ([`IncrementalFisherYates`] replays the same sequence incrementally).
-//! * **Reservoir sampling** needs the full scan before its sample is final,
-//!   so the stream pays the whole scan on the first batch and then emits
-//!   reservoir slices; progressive stopping saves no I/O for scan-based
-//!   samplers, only wall-clock on the measurement side.
+//! * **Reservoir, Bernoulli and systematic sampling** are scans
+//!   ([`ScanStream`]): the sample is only final once every page has been
+//!   read, so the stream pays the whole scan on the first batch.  A
+//!   reservoir is then emitted in slices; a Bernoulli or systematic draw
+//!   comes out as one batch, because a scan-order prefix of it is not a
+//!   uniform sub-sample.  Progressive stopping saves no I/O for scan-based
+//!   samplers.
 //!
 //! Batch boundaries come from a [`BatchSchedule`] fixed at construction:
 //! geometrically growing row targets capped at the sampler's fraction (or
@@ -33,12 +40,16 @@
 //! consumers that construct the same stream see identical batches — which
 //! is what lets `SampleCf::estimate` (one checkpoint) and `ProgressiveCf`
 //! (many checkpoints) share one code path and still agree byte-for-byte.
+//!
+//! [page cache]: PageCache
 
+use crate::block::BlockStream;
 use crate::error::{SamplingError, SamplingResult};
 use crate::kind::SamplerKind;
 use crate::record::RecordBatch;
-use crate::reservoir::ReservoirSampler;
-use crate::sampler::{target_page_count, target_size, validate_fraction};
+use crate::reservoir::reservoir;
+use crate::sampler::{target_size, validate_fraction};
+use crate::uniform::{bernoulli, systematic, UniformStream};
 use rand::{Rng, RngCore};
 use samplecf_storage::{Page, PageId, Rid, TableSource};
 use std::collections::hash_map::Entry;
@@ -148,6 +159,10 @@ pub trait SampleStream: Send + Sync {
     /// draw instead of redrawing.  Returns `false` when the stream cannot
     /// be deepened (different family, shallower target, or a scan-based
     /// sampler whose draw is already complete).
+    ///
+    /// Extending to the stream's own [`kind`](Self::kind) never changes the
+    /// draw, so `extend_cap(stream.kind())` asks whether the stream can
+    /// grow at all.
     fn extend_cap(&mut self, kind: SamplerKind) -> bool;
 
     /// Approximate bytes of state this stream retains between batches
@@ -197,18 +212,6 @@ impl std::fmt::Debug for dyn SampleStream + '_ {
 }
 
 impl SamplerKind {
-    /// Whether this sampler kind has a [`SampleStream`] implementation.
-    #[must_use]
-    pub fn supports_streaming(&self) -> bool {
-        matches!(
-            self,
-            SamplerKind::UniformWithReplacement(_)
-                | SamplerKind::Block(_)
-                | SamplerKind::Reservoir(_)
-                | SamplerKind::Stratified { .. }
-        )
-    }
-
     /// The sampler family name, without parameters — the part of the
     /// identity that survives deepening.
     #[must_use]
@@ -239,33 +242,30 @@ impl SamplerKind {
     }
 
     /// Create a streaming draw for this sampler kind with the given batch
-    /// schedule.
-    ///
-    /// Supported kinds are uniform-with-replacement, block and reservoir;
-    /// the others have no prefix-stable incremental form and return an
-    /// error.
+    /// schedule.  Fails, without touching any data, when the kind's
+    /// parameters are invalid (a fraction outside (0, 1], a zero reservoir
+    /// size or stratum count) — which is how callers validate a kind.
     pub fn stream(&self, schedule: BatchSchedule) -> SamplingResult<Box<dyn SampleStream>> {
-        match *self {
+        Ok(match *self {
             SamplerKind::UniformWithReplacement(f) => {
-                Ok(Box::new(UniformWrStream::new(f, schedule)?))
+                Box::new(UniformStream::with_replacement(f, schedule)?)
             }
-            SamplerKind::Block(f) => Ok(Box::new(BlockStream::new(f, schedule)?)),
-            SamplerKind::Reservoir(size) => Ok(Box::new(ReservoirStream::new(size, schedule)?)),
+            SamplerKind::UniformWithoutReplacement(f) => {
+                Box::new(UniformStream::without_replacement(f, schedule)?)
+            }
+            SamplerKind::Block(f) => Box::new(BlockStream::new(f, schedule)?),
+            SamplerKind::Reservoir(_) | SamplerKind::Bernoulli(_) | SamplerKind::Systematic(_) => {
+                Box::new(ScanStream::new(*self, schedule)?)
+            }
             SamplerKind::Stratified {
                 fraction,
                 strata,
                 alloc,
                 mode,
-            } => Ok(Box::new(crate::stratified::StratifiedStream::new(
+            } => Box::new(crate::stratified::StratifiedStream::new(
                 fraction, strata, alloc, mode, schedule,
-            )?)),
-            other => Err(SamplingError::InvalidSize(format!(
-                "sampler {} has no streaming implementation \
-                 (progressive estimation supports uniform-wr, block, reservoir \
-                 and stratified)",
-                other.label()
-            ))),
-        }
+            )?),
+        })
     }
 }
 
@@ -320,11 +320,10 @@ impl PageCache {
 /// Append the records at the given positions of the RID frame to `out`,
 /// sorted by RID and page-coalesced through `cache`.
 ///
-/// Compared with [`fetch_positions`](crate::sampler::fetch_positions), the
-/// records come in RID order (duplicates adjacent) rather than draw order
-/// — an order change the estimator is insensitive to, since the index bulk
+/// The records come in RID order (duplicates adjacent) rather than draw
+/// order — an order the estimator is insensitive to, since the index bulk
 /// load re-sorts by key anyway — and each distinct page costs exactly one
-/// physical read instead of one read per drawn row.  Only the selected
+/// physical read, however many drawn rows land on it.  Only the selected
 /// records are copied out of their pages.
 pub fn fetch_positions_coalesced(
     source: &dyn TableSource,
@@ -343,113 +342,7 @@ pub fn fetch_positions_coalesced(
 }
 
 // ---------------------------------------------------------------------------
-// Uniform with replacement
-// ---------------------------------------------------------------------------
-
-/// Streaming uniform-with-replacement draw: row positions are generated one
-/// RNG call at a time (the same sequence the one-shot sampler consumes) and
-/// sliced page-coalesced out of a persistent [`PageCache`].
-pub struct UniformWrStream {
-    fraction: f64,
-    schedule: BatchSchedule,
-    /// Bound on first use: (frame, cumulative row targets).
-    frame: Option<(Vec<Rid>, Vec<usize>)>,
-    next_target: usize,
-    drawn: usize,
-    cache: PageCache,
-}
-
-impl UniformWrStream {
-    /// Create a stream drawing up to `round(fraction · n)` rows.
-    pub fn new(fraction: f64, schedule: BatchSchedule) -> SamplingResult<Self> {
-        Ok(UniformWrStream {
-            fraction: validate_fraction(fraction)?,
-            schedule,
-            frame: None,
-            next_target: 0,
-            drawn: 0,
-            cache: PageCache::new(),
-        })
-    }
-
-    /// Physical pages read so far (the page cache's size).
-    #[must_use]
-    pub fn pages_read(&self) -> usize {
-        self.cache.pages_cached()
-    }
-}
-
-impl SampleStream for UniformWrStream {
-    fn kind(&self) -> SamplerKind {
-        SamplerKind::UniformWithReplacement(self.fraction)
-    }
-
-    fn next_batch(
-        &mut self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<RecordBatch> {
-        if self.frame.is_none() {
-            let rids = source.rids()?;
-            let max_rows = target_size(rids.len(), self.fraction);
-            let targets = self.schedule.cumulative_targets(rids.len(), max_rows);
-            self.frame = Some((rids, targets));
-        }
-        let (rids, targets) = self.frame.as_ref().expect("frame bound above");
-        let n = rids.len();
-        let Some(&target) = targets.get(self.next_target) else {
-            return Ok(RecordBatch::new());
-        };
-        let batch_rows = target - self.drawn;
-        let positions: Vec<usize> = (0..batch_rows).map(|_| rng.gen_range(0..n)).collect();
-        let mut batch = RecordBatch::new();
-        fetch_positions_coalesced(source, rids, &positions, &mut self.cache, &mut batch)?;
-        self.drawn = target;
-        self.next_target += 1;
-        Ok(batch)
-    }
-
-    fn rows_drawn(&self) -> usize {
-        self.drawn
-    }
-
-    fn exhausted(&self) -> bool {
-        self.frame
-            .as_ref()
-            .is_some_and(|(_, targets)| self.next_target >= targets.len())
-    }
-
-    fn extend_cap(&mut self, kind: SamplerKind) -> bool {
-        let SamplerKind::UniformWithReplacement(f) = kind else {
-            return false;
-        };
-        if f < self.fraction || validate_fraction(f).is_err() {
-            return false;
-        }
-        self.fraction = f;
-        if let Some((rids, targets)) = self.frame.as_mut() {
-            let max_rows = target_size(rids.len(), f);
-            // Re-plan from the rows already drawn: one batch to the new cap.
-            targets.truncate(self.next_target);
-            if max_rows > self.drawn {
-                targets.push(max_rows);
-            }
-        }
-        true
-    }
-
-    fn approx_retained_bytes(&self) -> usize {
-        // The rid frame plus every page the page cache holds.
-        let frame = self
-            .frame
-            .as_ref()
-            .map_or(0, |(rids, _)| rids.len() * std::mem::size_of::<Rid>());
-        frame + self.cache.bytes_cached()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Block sampling
+// Incremental Fisher–Yates
 // ---------------------------------------------------------------------------
 
 /// An incremental partial Fisher–Yates shuffle over `0..length`.
@@ -457,11 +350,12 @@ impl SampleStream for UniformWrStream {
 /// [`next`](Self::next) consumes exactly one `gen_range(i..length)` call per
 /// element, and the sequence it produces is identical to
 /// `rand::seq::index::sample(rng, length, amount)` for every `amount` — the
-/// prefix-stability property block streaming relies on.  Only displaced
-/// slots are tracked, so memory is proportional to the elements drawn.
+/// prefix-stability property the block and uniform-wor streams rely on.
+/// Only displaced slots are tracked, so memory is proportional to the
+/// elements drawn.
 #[derive(Debug)]
 pub struct IncrementalFisherYates {
-    length: usize,
+    pub(crate) length: usize,
     next_index: usize,
     swaps: HashMap<usize, usize>,
 }
@@ -483,6 +377,12 @@ impl IncrementalFisherYates {
         self.next_index
     }
 
+    /// Bytes of displaced-slot state: two words per element drawn.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        self.next_index * 2 * std::mem::size_of::<usize>()
+    }
+
     /// Draw the next element of the shuffle; `None` once all `length`
     /// elements are out.
     pub fn next(&mut self, rng: &mut dyn RngCore) -> Option<usize> {
@@ -499,147 +399,66 @@ impl IncrementalFisherYates {
     }
 }
 
-/// Streaming block (page) sampler: pages come out of an
-/// [`IncrementalFisherYates`] permutation, so the page set after `k` draws
-/// equals a one-shot selection of `k` pages with the same seed.  Each batch
-/// reads its new pages in ascending page order and slices every record off
-/// them.
-pub struct BlockStream {
-    fraction: f64,
-    schedule: BatchSchedule,
-    /// Bound on first use: (shuffle over pages, cumulative page targets).
-    state: Option<(IncrementalFisherYates, Vec<usize>)>,
-    next_target: usize,
-    rows_drawn: usize,
-}
-
-impl BlockStream {
-    /// Create a stream selecting up to `round(fraction · num_pages)` pages.
-    pub fn new(fraction: f64, schedule: BatchSchedule) -> SamplingResult<Self> {
-        Ok(BlockStream {
-            fraction: validate_fraction(fraction)?,
-            schedule,
-            state: None,
-            next_target: 0,
-            rows_drawn: 0,
-        })
-    }
-
-    /// Pages selected so far.
-    #[must_use]
-    pub fn pages_selected(&self) -> usize {
-        self.state.as_ref().map_or(0, |(fy, _)| fy.drawn())
-    }
-}
-
-impl SampleStream for BlockStream {
-    fn kind(&self) -> SamplerKind {
-        SamplerKind::Block(self.fraction)
-    }
-
-    fn next_batch(
-        &mut self,
-        source: &dyn TableSource,
-        rng: &mut dyn RngCore,
-    ) -> SamplingResult<RecordBatch> {
-        if self.state.is_none() {
-            let num_pages = source.num_pages();
-            let max_pages = target_page_count(num_pages, self.fraction);
-            let targets = self.schedule.cumulative_targets(num_pages, max_pages);
-            self.state = Some((IncrementalFisherYates::new(num_pages), targets));
-        }
-        let (fy, targets) = self.state.as_mut().expect("state bound above");
-        let Some(&target) = targets.get(self.next_target) else {
-            return Ok(RecordBatch::new());
-        };
-        let mut page_ids: Vec<PageId> = Vec::with_capacity(target - fy.drawn());
-        while fy.drawn() < target {
-            let p = fy.next(rng).expect("targets never exceed the page count");
-            page_ids.push(p as PageId);
-        }
-        page_ids.sort_unstable();
-        let mut batch = RecordBatch::new();
-        for pid in page_ids {
-            batch.push_page(source.read_page_ref(pid)?.as_page())?;
-        }
-        self.rows_drawn += batch.len();
-        self.next_target += 1;
-        Ok(batch)
-    }
-
-    fn rows_drawn(&self) -> usize {
-        self.rows_drawn
-    }
-
-    fn exhausted(&self) -> bool {
-        self.state
-            .as_ref()
-            .is_some_and(|(_, targets)| self.next_target >= targets.len())
-    }
-
-    fn extend_cap(&mut self, kind: SamplerKind) -> bool {
-        let SamplerKind::Block(f) = kind else {
-            return false;
-        };
-        if f < self.fraction || validate_fraction(f).is_err() {
-            return false;
-        }
-        self.fraction = f;
-        if let Some((fy, targets)) = self.state.as_mut() {
-            let max_pages = target_page_count(fy.length, f);
-            targets.truncate(self.next_target);
-            if max_pages > fy.drawn() {
-                targets.push(max_pages);
-            }
-        }
-        true
-    }
-
-    fn approx_retained_bytes(&self) -> usize {
-        // Only the displaced-slot map of the partial shuffle: two words per
-        // page drawn so far.
-        self.pages_selected() * 2 * std::mem::size_of::<usize>()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Reservoir sampling
+// Scan sampling
 // ---------------------------------------------------------------------------
 
-/// Streaming reservoir draw.  Reservoir sampling needs the complete scan
-/// before any row's membership is final, so the first batch runs the
-/// one-shot record scan ([`ReservoirSampler::sample_records`], paying the
-/// full-scan I/O) and later batches emit slices of the finished reservoir
-/// on the stream's schedule.  Progressive
-/// consumers still get growing sub-samples to measure on, but no I/O is
-/// saved by stopping early — the honest cost model of scan-based samplers.
-pub struct ReservoirStream {
-    size: usize,
+/// Streaming draw for the scan samplers: reservoir, Bernoulli and
+/// systematic.
+///
+/// All three decide a row's membership while reading the table once, page
+/// by page in storage order, so none of them knows its sample before the
+/// last page is read.  The stream therefore runs the whole scan on its
+/// first batch — slicing only the kept records out of each page, decoding
+/// nothing — and then emits the finished draw.  A reservoir
+/// ([`reservoir`](crate::reservoir)) is emitted in slices on the stream's
+/// row schedule.  A Bernoulli or systematic draw ([`uniform`](crate::uniform))
+/// comes out as **one** batch: a scan-order prefix of it covers only the
+/// leading pages, which is not a uniform sub-sample, so offering it as a
+/// checkpoint would bias a progressive estimate.  No scan stream can be
+/// deepened: the rows a larger draw would have kept were never recorded.
+pub struct ScanStream {
+    kind: SamplerKind,
     schedule: BatchSchedule,
-    /// Bound on first use: (finished reservoir, cumulative row targets).
-    reservoir: Option<(RecordBatch, Vec<usize>)>,
+    /// Bound on first use: (the finished draw, cumulative row targets).
+    drawn: Option<(RecordBatch, Vec<usize>)>,
     next_target: usize,
     emitted: usize,
 }
 
-impl ReservoirStream {
-    /// Create a stream for a reservoir of `size` rows.
-    pub fn new(size: usize, schedule: BatchSchedule) -> SamplingResult<Self> {
-        // Validate eagerly, exactly like the one-shot sampler.
-        let _ = ReservoirSampler::new(size)?;
-        Ok(ReservoirStream {
-            size,
+impl ScanStream {
+    /// Create a stream for a reservoir, Bernoulli or systematic `kind`,
+    /// validating its parameters.
+    pub fn new(kind: SamplerKind, schedule: BatchSchedule) -> SamplingResult<Self> {
+        match kind {
+            SamplerKind::Reservoir(0) => {
+                return Err(SamplingError::InvalidSize(
+                    "reservoir size must be at least 1".to_string(),
+                ))
+            }
+            SamplerKind::Reservoir(_) => {}
+            SamplerKind::Bernoulli(f) | SamplerKind::Systematic(f) => {
+                validate_fraction(f)?;
+            }
+            other => return Err(not_a_scan(other)),
+        }
+        Ok(ScanStream {
+            kind,
             schedule,
-            reservoir: None,
+            drawn: None,
             next_target: 0,
             emitted: 0,
         })
     }
 }
 
-impl SampleStream for ReservoirStream {
+fn not_a_scan(kind: SamplerKind) -> SamplingError {
+    SamplingError::InvalidSize(format!("{} is not a scan sampler", kind.label()))
+}
+
+impl SampleStream for ScanStream {
     fn kind(&self) -> SamplerKind {
-        SamplerKind::Reservoir(self.size)
+        self.kind
     }
 
     fn next_batch(
@@ -647,21 +466,30 @@ impl SampleStream for ReservoirStream {
         source: &dyn TableSource,
         rng: &mut dyn RngCore,
     ) -> SamplingResult<RecordBatch> {
-        if self.reservoir.is_none() {
-            let rows = ReservoirSampler::new(self.size)?.sample_records(source, rng)?;
-            // Slice targets follow the same row schedule as the other
-            // streams, capped at the reservoir's actual size.
-            let max_rows = rows.len();
-            let targets = self
-                .schedule
-                .cumulative_targets(source.num_rows(), max_rows);
-            self.reservoir = Some((rows, targets));
+        if self.drawn.is_none() {
+            let (rows, schedule) = match self.kind {
+                SamplerKind::Reservoir(size) => (reservoir(source, size, rng)?, self.schedule),
+                SamplerKind::Bernoulli(p) => {
+                    (bernoulli(source, p, rng)?, BatchSchedule::one_shot())
+                }
+                SamplerKind::Systematic(f) => {
+                    (systematic(source, f, rng)?, BatchSchedule::one_shot())
+                }
+                other => return Err(not_a_scan(other)),
+            };
+            let targets = schedule.cumulative_targets(source.num_rows(), rows.len());
+            self.drawn = Some((rows, targets));
         }
-        let (rows, targets) = self.reservoir.as_ref().expect("reservoir bound above");
+        let (rows, targets) = self.drawn.as_mut().expect("draw bound above");
         let Some(&target) = targets.get(self.next_target) else {
             return Ok(RecordBatch::new());
         };
-        let batch = rows.slice(self.emitted..target);
+        // A draw emitted as one batch moves out instead of being copied.
+        let batch = if self.emitted == 0 && target == rows.len() {
+            std::mem::take(rows)
+        } else {
+            rows.slice(self.emitted..target)
+        };
         self.emitted = target;
         self.next_target += 1;
         Ok(batch)
@@ -672,20 +500,20 @@ impl SampleStream for ReservoirStream {
     }
 
     fn exhausted(&self) -> bool {
-        self.reservoir
+        self.drawn
             .as_ref()
             .is_some_and(|(_, targets)| self.next_target >= targets.len())
     }
 
     fn extend_cap(&mut self, _kind: SamplerKind) -> bool {
-        // A finished reservoir cannot grow losslessly: rows evicted during
-        // the scan are gone.  Callers must redraw at the larger capacity.
+        // A finished scan cannot grow losslessly: the rows a larger draw
+        // would have kept were passed over.  Callers must redraw.
         false
     }
 
     fn approx_retained_bytes(&self) -> usize {
-        // The whole scanned reservoir is held until sliced out.
-        self.reservoir
+        // The finished draw is held until emitted.
+        self.drawn
             .as_ref()
             .map_or(0, |(rows, _)| rows.approx_bytes())
     }
@@ -694,49 +522,17 @@ impl SampleStream for ReservoirStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockSampler;
-    use crate::sampler::{RowSampler, SampledRow};
-    use crate::uniform::UniformWithReplacement;
+    use crate::sampler::target_page_count;
+    use crate::testing::{decoded, drain, one_shot, sorted, table};
     use rand::rngs::StdRng;
     use rand::seq::index;
     use rand::SeedableRng;
-    use samplecf_storage::{CountingSource, Row, Schema, Table, TableBuilder, Value};
+    use samplecf_storage::CountingSource;
 
-    fn table(n: usize) -> Table {
-        TableBuilder::new("t", Schema::single_char("a", 32))
-            .page_size(512)
-            .build_with_rows((0..n).map(|i| Row::new(vec![Value::str(format!("v{i:06}"))])))
-            .unwrap()
-    }
-
-    fn drain(
-        stream: &mut dyn SampleStream,
-        source: &dyn TableSource,
-        rng: &mut StdRng,
-    ) -> Vec<RecordBatch> {
-        let mut batches = Vec::new();
-        loop {
-            let b = stream.next_batch(source, rng).unwrap();
-            if b.is_empty() {
-                break;
-            }
-            batches.push(b);
-        }
-        batches
-    }
-
-    /// Every drained record, decoded, in draw order.
-    fn decoded(batches: &[RecordBatch], source: &dyn TableSource) -> Vec<SampledRow> {
-        batches
-            .iter()
-            .flat_map(|b| b.decode(source.codec()).unwrap())
-            .collect()
-    }
-
-    fn sorted(mut rows: Vec<SampledRow>) -> Vec<SampledRow> {
-        rows.sort_by_key(|(rid, _)| *rid);
-        rows
-    }
+    const UNIFORM: [fn(f64) -> SamplerKind; 2] = [
+        SamplerKind::UniformWithReplacement,
+        SamplerKind::UniformWithoutReplacement,
+    ];
 
     #[test]
     fn schedule_targets_grow_geometrically_and_land_on_the_cap() {
@@ -762,9 +558,9 @@ mod tests {
 
     #[test]
     fn incremental_fisher_yates_matches_vendor_index_sample_prefixes() {
-        // The property the block stream's parity rests on: for any amount,
-        // index::sample equals the first `amount` draws of the incremental
-        // shuffle with the same seed.
+        // The property the block and uniform-wor streams' parity rests on:
+        // for any amount, index::sample equals the first `amount` draws of
+        // the incremental shuffle with the same seed.
         for length in [10usize, 100, 1000] {
             for amount in [1usize, 3, 7, length / 2, length] {
                 let oneshot =
@@ -781,52 +577,55 @@ mod tests {
     #[test]
     fn uniform_stream_drains_to_the_one_shot_multiset() {
         let t = table(2_000);
-        let kind = SamplerKind::UniformWithReplacement(0.1);
-        let oneshot = UniformWithReplacement::new(0.1)
-            .unwrap()
-            .sample(&t, &mut StdRng::seed_from_u64(5))
-            .unwrap();
-        let mut stream = kind.stream(BatchSchedule::default()).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let batches = drain(stream.as_mut(), &t, &mut rng);
-        assert!(batches.len() > 1, "expected several geometric batches");
-        let drained = decoded(&batches, &t);
-        assert_eq!(drained.len(), 200);
-        assert_eq!(stream.rows_drawn(), 200);
-        assert!(stream.exhausted());
-        assert_eq!(sorted(drained), sorted(oneshot));
-        // A drained stream keeps returning empty batches.
-        assert!(stream.next_batch(&t, &mut rng).unwrap().is_empty());
+        for uniform in UNIFORM {
+            let kind = uniform(0.1);
+            let oneshot = one_shot(&t, kind, 5);
+            let mut stream = kind.stream(BatchSchedule::default()).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let batches = drain(stream.as_mut(), &t, &mut rng);
+            assert!(batches.len() > 1, "expected several geometric batches");
+            let drained = decoded(&batches, &t);
+            assert_eq!(drained.len(), 200);
+            assert_eq!(stream.rows_drawn(), 200);
+            assert!(stream.exhausted());
+            assert_eq!(sorted(drained), sorted(oneshot), "{kind:?}");
+            // A drained stream keeps returning empty batches.
+            assert!(stream.next_batch(&t, &mut rng).unwrap().is_empty());
+        }
     }
 
     #[test]
     fn uniform_stream_page_reads_are_schedule_independent() {
         let t = table(3_000);
-        let mut pages = Vec::new();
-        for schedule in [
-            BatchSchedule::one_shot(),
-            BatchSchedule::default(),
-            BatchSchedule::new(0.001, 1.3).unwrap(),
-        ] {
-            let counting = CountingSource::new(&t);
-            let mut stream = SamplerKind::UniformWithReplacement(0.05)
-                .stream(schedule)
-                .unwrap();
-            let mut rng = StdRng::seed_from_u64(3);
-            drain(stream.as_mut(), &counting, &mut rng);
-            pages.push(counting.pages_read());
+        for uniform in UNIFORM {
+            let mut pages = Vec::new();
+            for schedule in [
+                BatchSchedule::one_shot(),
+                BatchSchedule::default(),
+                BatchSchedule::new(0.001, 1.3).unwrap(),
+            ] {
+                let counting = CountingSource::new(&t);
+                let mut stream = uniform(0.05).stream(schedule).unwrap();
+                let mut rng = StdRng::seed_from_u64(3);
+                drain(stream.as_mut(), &counting, &mut rng);
+                pages.push(counting.pages_read());
+            }
+            assert_eq!(pages[0], pages[1], "page cache must erase batch boundaries");
+            assert_eq!(pages[0], pages[2]);
         }
-        assert_eq!(pages[0], pages[1], "page cache must erase batch boundaries");
-        assert_eq!(pages[0], pages[2]);
     }
 
     #[test]
     fn block_stream_selects_the_one_shot_page_set() {
         let t = table(4_000);
         let kind = SamplerKind::Block(0.25);
-        let oneshot_ids = BlockSampler::new(0.25)
-            .unwrap()
-            .sample_page_ids(&t, &mut StdRng::seed_from_u64(11));
+        let count = target_page_count(t.num_pages(), 0.25);
+        let mut oneshot_ids: Vec<PageId> =
+            index::sample(&mut StdRng::seed_from_u64(11), t.num_pages(), count)
+                .into_iter()
+                .map(|p| p as PageId)
+                .collect();
+        oneshot_ids.sort_unstable();
         let counting = CountingSource::new(&t);
         let mut stream = kind.stream(BatchSchedule::default()).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
@@ -845,77 +644,61 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_stream_emits_the_one_shot_reservoir_in_slices() {
-        let t = table(1_500);
-        let oneshot = ReservoirSampler::new(120)
-            .unwrap()
-            .sample(&t, &mut StdRng::seed_from_u64(2))
-            .unwrap();
-        let counting = CountingSource::new(&t);
-        let mut stream = SamplerKind::Reservoir(120)
-            .stream(BatchSchedule::default())
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let batches = drain(stream.as_mut(), &counting, &mut rng);
-        let drained = decoded(&batches, &t);
-        assert_eq!(drained, oneshot, "slices concatenate to the reservoir");
-        // The scan was paid once, on the first batch.
-        assert_eq!(counting.pages_read() as usize, t.num_pages());
-        assert!(!stream.extend_cap(SamplerKind::Reservoir(500)));
-    }
-
-    #[test]
     fn extending_the_cap_continues_the_draw_prefix() {
         let t = table(2_000);
-        // Stream A: draw at 5%, then deepen to 15% and drain.
-        let mut a = SamplerKind::UniformWithReplacement(0.05)
+        for uniform in UNIFORM {
+            // Stream A: draw at 5%, then deepen to 15% and drain.
+            let mut a = uniform(0.05).stream(BatchSchedule::one_shot()).unwrap();
+            let mut rng_a = StdRng::seed_from_u64(7);
+            let mut rows_a = decoded(&drain(a.as_mut(), &t, &mut rng_a), &t);
+            assert_eq!(rows_a.len(), 100);
+            assert!(a.extend_cap(uniform(0.15)));
+            assert_eq!(a.kind(), uniform(0.15));
+            rows_a.extend(decoded(&drain(a.as_mut(), &t, &mut rng_a), &t));
+            // Stream B: a fresh draw straight at 15%.
+            let rows_b = one_shot(&t, uniform(0.15), 7);
+            assert_eq!(rows_a.len(), rows_b.len());
+            assert_eq!(
+                sorted(rows_a),
+                sorted(rows_b),
+                "deepening == fresh deeper draw"
+            );
+            // Deepening rejects a different family or a shallower fraction.
+            assert!(!a.extend_cap(SamplerKind::Block(0.5)));
+            assert!(!a.extend_cap(uniform(0.01)));
+        }
+        let mut wr = SamplerKind::UniformWithReplacement(0.05)
             .stream(BatchSchedule::one_shot())
             .unwrap();
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rows_a = decoded(&drain(a.as_mut(), &t, &mut rng_a), &t);
-        assert_eq!(rows_a.len(), 100);
-        assert!(a.extend_cap(SamplerKind::UniformWithReplacement(0.15)));
-        assert_eq!(a.kind(), SamplerKind::UniformWithReplacement(0.15));
-        rows_a.extend(decoded(&drain(a.as_mut(), &t, &mut rng_a), &t));
-        // Stream B: a fresh draw straight at 15%.
-        let rows_b = UniformWithReplacement::new(0.15)
-            .unwrap()
-            .sample(&t, &mut StdRng::seed_from_u64(7))
-            .unwrap();
-        assert_eq!(rows_a.len(), rows_b.len());
-        assert_eq!(
-            sorted(rows_a),
-            sorted(rows_b),
-            "deepening == fresh deeper draw"
-        );
-        // Deepening rejects a different family or a shallower fraction.
-        assert!(!a.extend_cap(SamplerKind::Block(0.5)));
-        assert!(!a.extend_cap(SamplerKind::UniformWithReplacement(0.01)));
+        assert!(!wr.extend_cap(SamplerKind::UniformWithoutReplacement(0.5)));
     }
 
     #[test]
-    fn non_streaming_kinds_report_a_clear_error() {
-        for kind in [
-            SamplerKind::Bernoulli(0.1),
-            SamplerKind::Systematic(0.1),
-            SamplerKind::UniformWithoutReplacement(0.1),
+    fn extending_to_the_own_kind_reports_whether_a_stream_can_grow() {
+        let t = table(1_000);
+        let stratified = SamplerKind::Stratified {
+            fraction: 0.1,
+            strata: 4,
+            alloc: crate::kind::Allocation::Neyman,
+            mode: crate::kind::StrataMode::EquiWidth,
+        };
+        for (kind, growable) in [
+            (SamplerKind::UniformWithReplacement(0.1), true),
+            (SamplerKind::UniformWithoutReplacement(0.1), true),
+            (SamplerKind::Block(0.1), true),
+            (stratified, true),
+            (SamplerKind::Reservoir(5), false),
+            (SamplerKind::Bernoulli(0.1), false),
+            (SamplerKind::Systematic(0.1), false),
         ] {
-            assert!(!kind.supports_streaming());
-            let err = kind.stream(BatchSchedule::default()).unwrap_err();
-            assert!(err.to_string().contains("streaming"), "{err}");
-        }
-        for kind in [
-            SamplerKind::UniformWithReplacement(0.1),
-            SamplerKind::Block(0.1),
-            SamplerKind::Reservoir(5),
-            SamplerKind::Stratified {
-                fraction: 0.1,
-                strata: 4,
-                alloc: crate::kind::Allocation::Neyman,
-                mode: crate::kind::StrataMode::EquiWidth,
-            },
-        ] {
-            assert!(kind.supports_streaming());
+            let mut stream = kind.stream(BatchSchedule::one_shot()).unwrap();
+            let mut rng = StdRng::seed_from_u64(3);
+            let drawn = decoded(&drain(stream.as_mut(), &t, &mut rng), &t);
+            assert_eq!(stream.extend_cap(kind), growable, "{kind:?}");
+            // The probe changes nothing: same kind, nothing more to draw.
+            assert_eq!(stream.kind(), kind);
+            assert_eq!(stream.rows_drawn(), drawn.len());
+            assert!(stream.next_batch(&t, &mut rng).unwrap().is_empty());
         }
     }
 
@@ -940,6 +723,17 @@ mod tests {
         // Every page read is held (that is what keeps deepening's I/O
         // schedule-independent), priced at its full size.
         assert_eq!(retained, pages * t.page_size() + frame);
+        // Without replacement, the shuffle's displaced slots come on top.
+        let counting = CountingSource::new(&t);
+        let mut stream = SamplerKind::UniformWithoutReplacement(0.05)
+            .stream(BatchSchedule::default())
+            .unwrap();
+        drain(stream.as_mut(), &counting, &mut rng);
+        let pages = counting.pages_read() as usize;
+        assert_eq!(
+            stream.approx_retained_bytes(),
+            pages * t.page_size() + frame + 150 * 2 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]
@@ -947,14 +741,72 @@ mod tests {
         let t = table(0);
         for kind in [
             SamplerKind::UniformWithReplacement(0.5),
+            SamplerKind::UniformWithoutReplacement(0.5),
+            SamplerKind::Bernoulli(0.5),
+            SamplerKind::Systematic(0.5),
             SamplerKind::Block(0.5),
             SamplerKind::Reservoir(5),
         ] {
+            let counting = CountingSource::new(&t);
             let mut stream = kind.stream(BatchSchedule::default()).unwrap();
             let mut rng = StdRng::seed_from_u64(1);
-            assert!(stream.next_batch(&t, &mut rng).unwrap().is_empty());
+            assert!(stream.next_batch(&counting, &mut rng).unwrap().is_empty());
             assert!(stream.exhausted(), "{kind:?}");
             assert_eq!(stream.rows_drawn(), 0);
+            // Regression: with zero pages the old `max(1, …)` sizing would
+            // have requested one page from an empty frame.
+            assert_eq!(counting.pages_read(), 0, "{kind:?}");
         }
+    }
+
+    #[test]
+    fn reservoir_stream_emits_the_one_shot_reservoir_in_slices() {
+        let t = table(1_500);
+        let oneshot = one_shot(&t, SamplerKind::Reservoir(120), 2);
+        let counting = CountingSource::new(&t);
+        let mut stream = SamplerKind::Reservoir(120)
+            .stream(BatchSchedule::default())
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(2);
+        let batches = drain(stream.as_mut(), &counting, &mut rng);
+        assert!(
+            batches.len() > 1,
+            "a reservoir is emitted in schedule slices"
+        );
+        assert_eq!(
+            decoded(&batches, &t),
+            oneshot,
+            "slices concatenate to the reservoir"
+        );
+        // The scan was paid once, on the first batch.
+        assert_eq!(counting.pages_read() as usize, t.num_pages());
+        assert!(!stream.extend_cap(SamplerKind::Reservoir(500)));
+    }
+
+    #[test]
+    fn bernoulli_and_systematic_come_out_as_one_batch_at_the_cap() {
+        let t = table(3_000);
+        for kind in [SamplerKind::Bernoulli(0.2), SamplerKind::Systematic(0.2)] {
+            let counting = CountingSource::new(&t);
+            let mut stream = kind.stream(BatchSchedule::new(0.01, 2.0).unwrap()).unwrap();
+            let batches = drain(stream.as_mut(), &counting, &mut StdRng::seed_from_u64(8));
+            assert_eq!(
+                batches.len(),
+                1,
+                "{kind:?}: no scan-order prefix is offered"
+            );
+            assert!(stream.exhausted());
+            assert_eq!(decoded(&batches, &t), one_shot(&t, kind, 8), "{kind:?}");
+            assert_eq!(counting.pages_read() as usize, t.num_pages());
+            assert!(!stream.extend_cap(kind));
+        }
+    }
+
+    #[test]
+    fn scan_streams_refuse_other_kinds() {
+        let err = ScanStream::new(SamplerKind::Block(0.1), BatchSchedule::one_shot())
+            .err()
+            .expect("block is not a scan");
+        assert!(err.to_string().contains("not a scan sampler"), "{err}");
     }
 }

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use samplecf_sampling::{
     Allocation, BatchSchedule, CountingSource, SampleStream, SampledRow, SamplerKind, Strata,
-    StrataMode, StratifiedStream, UniformWrStream,
+    StrataMode, StratifiedStream, UniformStream,
 };
 use samplecf_storage::{Row, Schema, Table, TableBuilder, TableSource, Value};
 
@@ -152,7 +152,7 @@ proptest! {
         for alloc in [Allocation::Proportional, Allocation::Neyman] {
             for mode in [StrataMode::EquiWidth, StrataMode::EquiDepth] {
                 let uni_counting = CountingSource::new(&t);
-                let mut uni = UniformWrStream::new(fraction, schedule).unwrap();
+                let mut uni = UniformStream::with_replacement(fraction, schedule).unwrap();
                 let uni_rows = drain(&mut uni, &uni_counting, &mut StdRng::seed_from_u64(seed));
 
                 let strat_counting = CountingSource::new(&t);

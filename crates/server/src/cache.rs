@@ -43,7 +43,7 @@
 use crate::protocol::CacheDisposition;
 use samplecf_core::{CachedSample, CoreError, CoreResult};
 use samplecf_obs::{Counter, Gauge, MetricsRegistry};
-use samplecf_sampling::{SampledRow, SamplerKind};
+use samplecf_sampling::{BatchSchedule, SampledRow, SamplerKind};
 use samplecf_storage::SharedSource;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -293,7 +293,7 @@ impl ConcurrentSampleCache {
     ) -> CoreResult<AcquiredSample> {
         // Validate the sampler before touching shared state, so a malformed
         // request can never leave an in-flight marker behind.
-        kind.build()?;
+        kind.stream(BatchSchedule::one_shot())?;
         let shard = &self.shards[self.shard_of(source, seed)];
         shard.acquire(source, kind, seed)
     }
@@ -360,11 +360,7 @@ impl Shard {
         // Miss.  Prefer deepening the deepest extendable entry of the same
         // (source, family, seed); otherwise draw fresh.  Either way the key
         // goes in-flight so concurrent requests coalesce onto this one.
-        let deepen_from = if kind.supports_streaming() {
-            Self::pick_deepen_victim(&mut state, &key, kind, seed)
-        } else {
-            None
-        };
+        let deepen_from = Self::pick_deepen_victim(&mut state, &key, kind, seed);
         state.slots.insert(key.clone(), Slot::InFlight);
 
         if let Some(base) = deepen_from {
@@ -750,6 +746,27 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.deepened, 1);
         assert_eq!(stats.misses, 2);
+    }
+
+    #[test]
+    fn scan_entries_are_never_deepen_victims() {
+        let (_counting, shared) = counted_table(4_000, 13);
+        let cache = ConcurrentSampleCache::new(DEFAULT_CACHE_BUDGET_BYTES);
+        let shallow = SamplerKind::Bernoulli(0.1);
+        let first = cache.acquire(&shared, shallow, 2).unwrap();
+        assert_eq!(first.disposition, CacheDisposition::Miss);
+        // A deeper fraction of the same family draws afresh...
+        let deeper = cache
+            .acquire(&shared, SamplerKind::Bernoulli(0.2), 2)
+            .unwrap();
+        assert_eq!(deeper.disposition, CacheDisposition::Miss);
+        // ...and leaves the shallow entry resident.
+        let again = cache.acquire(&shared, shallow, 2).unwrap();
+        assert_eq!(again.disposition, CacheDisposition::Hit);
+        assert_eq!(again.rows, first.rows);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.deepened), (2, 1, 0));
+        assert_eq!(stats.entries, 2);
     }
 
     #[test]

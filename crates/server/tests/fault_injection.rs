@@ -412,3 +412,31 @@ fn stats_reports_the_server_gauges_live() {
     await_open_connections(&handle, 0);
     handle.shutdown();
 }
+
+#[test]
+fn an_oversized_reservoir_request_returns_the_table_and_the_daemon_lives_on() {
+    // The reservoir size comes straight from the request: it must bound
+    // the sample, never an allocation.  2^52 slots once aborted the whole
+    // process on an allocation failure.
+    let handle = spawn_server(ServerConfig::default());
+    let addr = handle.addr();
+    let reply = roundtrip(
+        addr,
+        r#"{"op":"estimate","table":"t","sampler":"reservoir","size":4503599627370496,"scheme":"ns","seed":1}"#,
+    );
+    assert_ok(&reply);
+    let rows = reply
+        .get("result")
+        .and_then(|r| r.get("rows"))
+        .and_then(Json::as_u64);
+    assert_eq!(rows, Some(60_000), "the whole table is the sample: {reply}");
+    let sample_rows = reply
+        .get("accounting")
+        .and_then(|a| a.get("sample_rows"))
+        .and_then(Json::as_u64);
+    assert_eq!(sample_rows, Some(60_000), "{reply}");
+
+    // The next request on a fresh connection is served.
+    assert_ok(&roundtrip(addr, r#"{"op":"stats"}"#));
+    handle.shutdown();
+}

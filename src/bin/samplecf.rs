@@ -70,8 +70,8 @@ ESTIMATE OPTIONS:
   --seed S            base RNG seed                      [default: 0]
   --json              emit the report as JSON (includes the seed used)
 
-PROGRESSIVE ESTIMATION (adds to ESTIMATE; requires a streaming sampler —
-uniform, block, reservoir or stratified):
+PROGRESSIVE ESTIMATION (adds to ESTIMATE; every sampler; bernoulli and
+systematic take a single checkpoint at the cap):
   --target-error E    stop when the CI half-width is <= E x the estimate;
                       enables the progressive (stream-then-stop) mode
   --confidence C      confidence level 1 - delta of the CI  [default: 0.95]
@@ -84,7 +84,9 @@ re-measured from the accumulated sorted run and its variance jackknifed
 over the batches.  The run stops when the Chebyshev CI at the requested
 confidence is tighter than --target-error, or at --max-fraction.  A run
 that reaches the cap is byte-identical to a one-shot estimate at that
-fraction and seed.  With --sampler stratified the CF is the weighted
+fraction and seed.  Bernoulli and systematic draws are full scans that
+arrive as one batch (a scan-order prefix is not a uniform sub-sample), so
+they take a single checkpoint at the cap.  With --sampler stratified the CF is the weighted
 per-stratum combination, the CI comes from the closed-form stratified
 variance algebra instead of the jackknife, and --alloc neyman re-splits
 the remaining budget toward high-variance strata after every checkpoint.

@@ -81,8 +81,7 @@ pub mod prelude {
         StageTimings, Timer,
     };
     pub use samplecf_sampling::{
-        BatchSchedule, CountingSource, MaterializedSample, RowSampler, SampleStream, SamplerKind,
-        UniformWithReplacement,
+        BatchSchedule, CountingSource, MaterializedSample, SampleStream, SamplerKind,
     };
     pub use samplecf_storage::{
         Catalog, Column, DataType, DiskTable, IntoShared, Row, Schema, SharedCountingSource,
